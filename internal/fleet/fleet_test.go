@@ -255,3 +255,32 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 		t.Fatal("short payload decoded")
 	}
 }
+
+// FuzzDecodeSample: the envelope decoder never panics on arbitrary
+// bytes, accepts exactly the 24-byte payloads, and a decoded payload
+// re-encodes to the same bytes (NaN payload bits included).
+func FuzzDecodeSample(f *testing.F) {
+	valid := make([]byte, sampleSize)
+	encodeSample(valid, 1234, 56, -3.25, 0.125)
+	f.Add(valid)
+	f.Add(valid[:sampleSize-1])
+	f.Add(append(append([]byte{}, valid...), 0))
+	f.Add([]byte{})
+	nan := make([]byte, sampleSize)
+	encodeSample(nan, math.MaxUint32, 0, math.NaN(), math.Inf(-1))
+	f.Add(nan)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cell, node, v, sg, ok := decodeSample(b)
+		if ok != (len(b) == sampleSize) {
+			t.Fatalf("decode of %d bytes: ok=%v", len(b), ok)
+		}
+		if !ok {
+			return
+		}
+		re := make([]byte, sampleSize)
+		encodeSample(re, cell, node, v, sg)
+		if string(re) != string(b) {
+			t.Fatalf("round trip changed the payload: %x -> %x", b, re)
+		}
+	})
+}

@@ -10,7 +10,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/obs"
@@ -64,7 +63,15 @@ type GilbertElliott struct {
 // window is a half-open interval [From, To) of network message counts.
 type window struct{ from, to int }
 
-func (w window) contains(i int) bool { return i >= w.from && i < w.to }
+// inWindows reports whether any window contains message count i.
+func inWindows(ws []window, i int) bool {
+	for _, w := range ws {
+		if i >= w.from && i < w.to {
+			return true
+		}
+	}
+	return false
+}
 
 // burstLink is one Gilbert–Elliott channel's live state.
 type burstLink struct {
@@ -72,20 +79,31 @@ type burstLink struct {
 	bad bool
 }
 
+// linkKey names a directed link in a plan. A struct key, unlike a
+// concatenated "from→to" string, cannot alias two different pairs.
+type linkKey struct{ from, to string }
+
 // FaultPlan scripts deterministic failures for one Network. All
 // schedules are keyed on the network's message counter (the index Send
 // assigns to each transmission attempt), not wall clock, so a plan
 // replays identically for a fixed seed. A plan is safe for concurrent
 // use and may be mutated while traffic flows (Down/Up model a live
 // operator or supervisor).
+//
+// The plan is configured by endpoint name. A Network does not consult
+// these maps per message: it caches each endpoint's and each pair's
+// resolved state under its own interned IDs, and re-resolves lazily
+// whenever gen — bumped by every mutation — has moved. The cache lives
+// on the Network, so one plan shared by several networks stays correct.
 type FaultPlan struct {
 	mu          sync.Mutex
-	down        map[string]bool       // guarded by mu; nodes currently crashed
-	crashes     map[string][]window   // guarded by mu; scheduled crash windows per node
-	parts       map[string][]window   // guarded by mu; partition windows per directed link "a→b"
-	burst       map[string]*burstLink // guarded by mu; Gilbert–Elliott state per directed link
-	dupProb     float64               // guarded by mu; async duplicate probability
-	reorderProb float64               // guarded by mu; async reorder probability
+	gen         uint64                 // guarded by mu; bumped by every mutation
+	down        map[string]bool        // guarded by mu; nodes currently crashed
+	crashes     map[string][]window    // guarded by mu; scheduled crash windows per node
+	parts       map[linkKey][]window   // guarded by mu; partition windows per directed link
+	burst       map[linkKey]*burstLink // guarded by mu; Gilbert–Elliott state per directed link
+	dupProb     float64                // guarded by mu; async duplicate probability
+	reorderProb float64                // guarded by mu; async reorder probability
 }
 
 // NewFaultPlan returns an empty plan (no faults).
@@ -93,8 +111,8 @@ func NewFaultPlan() *FaultPlan {
 	return &FaultPlan{
 		down:    make(map[string]bool),
 		crashes: make(map[string][]window),
-		parts:   make(map[string][]window),
-		burst:   make(map[string]*burstLink),
+		parts:   make(map[linkKey][]window),
+		burst:   make(map[linkKey]*burstLink),
 	}
 }
 
@@ -103,6 +121,7 @@ func NewFaultPlan() *FaultPlan {
 func (p *FaultPlan) Down(id string) {
 	p.mu.Lock()
 	p.down[id] = true
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -110,6 +129,7 @@ func (p *FaultPlan) Down(id string) {
 func (p *FaultPlan) Up(id string) {
 	p.mu.Lock()
 	delete(p.down, id)
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -118,6 +138,7 @@ func (p *FaultPlan) Up(id string) {
 func (p *FaultPlan) Crash(id string, fromMsg, toMsg int) {
 	p.mu.Lock()
 	p.crashes[id] = append(p.crashes[id], window{fromMsg, toMsg})
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -126,8 +147,10 @@ func (p *FaultPlan) Crash(id string, fromMsg, toMsg int) {
 // sender's radio is still charged, mirroring loss semantics.
 func (p *FaultPlan) Partition(a, b string, fromMsg, toMsg int) {
 	p.mu.Lock()
-	p.parts[a+"→"+b] = append(p.parts[a+"→"+b], window{fromMsg, toMsg})
-	p.parts[b+"→"+a] = append(p.parts[b+"→"+a], window{fromMsg, toMsg})
+	ab, ba := linkKey{a, b}, linkKey{b, a}
+	p.parts[ab] = append(p.parts[ab], window{fromMsg, toMsg})
+	p.parts[ba] = append(p.parts[ba], window{fromMsg, toMsg})
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -135,7 +158,8 @@ func (p *FaultPlan) Partition(a, b string, fromMsg, toMsg int) {
 // directed from→to link, replacing the link's plain LossProb model.
 func (p *FaultPlan) SetBurstLink(from, to string, cfg GilbertElliott) {
 	p.mu.Lock()
-	p.burst[from+"→"+to] = &burstLink{cfg: cfg}
+	p.burst[linkKey{from, to}] = &burstLink{cfg: cfg}
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -151,6 +175,7 @@ func (p *FaultPlan) SetDuplexBurstLink(a, b string, cfg GilbertElliott) {
 func (p *FaultPlan) SetDuplicateProb(q float64) {
 	p.mu.Lock()
 	p.dupProb = q
+	p.gen++
 	p.mu.Unlock()
 }
 
@@ -159,7 +184,44 @@ func (p *FaultPlan) SetDuplicateProb(q float64) {
 func (p *FaultPlan) SetReorderProb(q float64) {
 	p.mu.Lock()
 	p.reorderProb = q
+	p.gen++
 	p.mu.Unlock()
+}
+
+// genLocked returns the plan's mutation generation.
+func (p *FaultPlan) genLocked() uint64 { return p.gen }
+
+// nodeFaultsLocked returns a node's live down flag and crash windows.
+func (p *FaultPlan) nodeFaultsLocked(id string) (down bool, crashes []window) {
+	return p.down[id], p.crashes[id]
+}
+
+// linkFaultsLocked returns a directed link's partition windows and burst
+// channel (nil: none).
+func (p *FaultPlan) linkFaultsLocked(from, to string) ([]window, *burstLink) {
+	k := linkKey{from, to}
+	return p.parts[k], p.burst[k]
+}
+
+// dupReorderLocked returns the async corruption knobs.
+func (p *FaultPlan) dupReorderLocked() (dup, reorder float64) {
+	return p.dupProb, p.reorderProb
+}
+
+// epFaults is a network's cached copy of one endpoint's plan state,
+// current while gen equals the network's faultGen.
+type epFaults struct {
+	gen     uint64
+	down    bool
+	crashes []window
+}
+
+// pairFaults is a network's cached copy of one directed pair's plan
+// state, current while gen equals the network's faultGen.
+type pairFaults struct {
+	gen   uint64
+	parts []window
+	burst *burstLink
 }
 
 // faultAction is the plan's verdict for one transmission attempt.
@@ -173,69 +235,59 @@ const (
 	faultDeliverBurst                    // burst channel delivered it: skip the plain loss draw
 )
 
-// verdict decides one transmission's fate. Called by Network.Deliver
-// with the network mutex held; the only lock taken inside is the plan's
-// own (Network.mu → FaultPlan.mu, never the reverse). rng is the
-// network's seeded RNG so burst-state walks are reproducible.
-func (p *FaultPlan) verdict(from, to string, msgIdx int, rng *rand.Rand) (faultAction, string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.downLocked(from, msgIdx) {
-		return faultDown, from
+// downLocked reports whether endpoint id is down at msgIdx, refreshing
+// the endpoint's cached plan state if the generation moved. The caller
+// holds n.mu and the installed plan's lock (see lockPlanLocked).
+func (n *Network) downLocked(id int32, msgIdx int) bool {
+	e := &n.eps[id]
+	f := &e.faults
+	if f.gen != n.faultGen {
+		f.down, f.crashes = n.plan.nodeFaultsLocked(e.name)
+		f.gen = n.faultGen
 	}
-	if p.downLocked(to, msgIdx) {
-		return faultDown, to
-	}
-	for _, w := range p.parts[from+"→"+to] {
-		if w.contains(msgIdx) {
-			return faultPartition, ""
-		}
-	}
-	if bl, ok := p.burst[from+"→"+to]; ok {
-		if bl.bad {
-			if rng.Float64() < bl.cfg.PBadToGood {
-				bl.bad = false
-			}
-		} else {
-			if rng.Float64() < bl.cfg.PGoodToBad {
-				bl.bad = true
-			}
-		}
-		loss := bl.cfg.LossGood
-		if bl.bad {
-			loss = bl.cfg.LossBad
-		}
-		if loss > 0 && rng.Float64() < loss {
-			return faultBurst, ""
-		}
-		return faultDeliverBurst, ""
-	}
-	return faultNone, ""
+	return f.down || inWindows(f.crashes, msgIdx)
 }
 
-// nodeDown reports whether a node is down at the given message count
-// (used by Flush for messages queued before a crash landed).
-func (p *FaultPlan) nodeDown(id string, msgIdx int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.downLocked(id, msgIdx)
-}
-
-func (p *FaultPlan) downLocked(id string, msgIdx int) bool {
-	if p.down[id] {
-		return true
+// verdictLocked decides one transmission's fate from the cached plan
+// state, under the same locks as downLocked. The burst channel walks on
+// the network's seeded RNG so burst-state walks are reproducible; the
+// draw order (sender down, receiver down, partition, burst transition,
+// burst loss) is part of the determinism contract. The second result is
+// the down endpoint's ID on faultDown.
+func (n *Network) verdictLocked(ps *pairState, msgIdx int) (faultAction, int32) {
+	if n.downLocked(ps.from, msgIdx) {
+		return faultDown, ps.from
 	}
-	for _, w := range p.crashes[id] {
-		if w.contains(msgIdx) {
-			return true
+	if n.downLocked(ps.to, msgIdx) {
+		return faultDown, ps.to
+	}
+	f := &ps.faults
+	if f.gen != n.faultGen {
+		f.parts, f.burst = n.plan.linkFaultsLocked(n.eps[ps.from].name, n.eps[ps.to].name)
+		f.gen = n.faultGen
+	}
+	if inWindows(f.parts, msgIdx) {
+		return faultPartition, -1
+	}
+	bl := f.burst
+	if bl == nil {
+		return faultNone, -1
+	}
+	if bl.bad {
+		if n.rng.Float64() < bl.cfg.PBadToGood {
+			bl.bad = false
+		}
+	} else {
+		if n.rng.Float64() < bl.cfg.PGoodToBad {
+			bl.bad = true
 		}
 	}
-	return false
-}
-
-// dupReorder snapshots the async corruption knobs.
-func (p *FaultPlan) dupReorder() (dup, reorder float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dupProb, p.reorderProb
+	loss := bl.cfg.LossGood
+	if bl.bad {
+		loss = bl.cfg.LossBad
+	}
+	if loss > 0 && n.rng.Float64() < loss {
+		return faultBurst, -1
+	}
+	return faultDeliverBurst, -1
 }

@@ -54,18 +54,76 @@ type Stats struct {
 
 // Network is an in-process simulated network. All methods are safe for
 // concurrent use.
+//
+// Endpoint names are the only public address, but inside the network
+// every name is interned once to a dense int32 ID: handlers, stats and
+// cached fault state live in the eps slice, links and per-pair fault
+// state in the pairs slice, and the async queue carries resolved IDs,
+// so the per-message path is integer indexing. Names are resolved with
+// one map lookup each, behind a one-entry memo of the last (From, To)
+// pair, which a fleet batch (one shard → one zone) hits on every
+// message after the first.
 type Network struct {
 	mu       sync.Mutex
 	rng      *rand.Rand         // guarded by mu
-	handlers map[string]Handler // guarded by mu
-	links    map[string]Link    // guarded by mu; key "from→to"
-	stats    map[string]*Stats  // guarded by mu
+	ids      map[string]int32   // guarded by mu; interned endpoint names
+	eps      []endpoint         // guarded by mu; indexed by endpoint ID
+	pairIdx  map[[2]int32]int32 // guarded by mu; (from, to) endpoint IDs → index into pairs
+	pairs    []pairState        // guarded by mu; directed links seen by SetLink or traffic
+	memo     pairMemo           // guarded by mu; last resolved (From, To)
 	defLink  Link               // guarded by mu
 	simTime  float64            // guarded by mu; accumulated virtual latency across delivered messages
 	msgCount int                // guarded by mu; transmission attempts so far (fault-plan clock)
 	plan     *FaultPlan         // guarded by mu; nil = no faults
+	planGen  uint64             // guarded by mu; n.plan's generation when last checked (SetFaultPlan invalidates the cache itself)
+	faultGen uint64             // guarded by mu; current fault-cache generation (eps/pairs entries carry the one they were resolved at)
 	async    bool               // guarded by mu; queue deliveries until Flush
-	queue    []Message          // guarded by mu; pending async deliveries
+	queue    []queued           // guarded by mu; pending async deliveries, drained in place by Flush
+	deferred []queued           // guarded by mu; Flush's reorder scratch
+	dlv      []delivery         // guarded by mu; handler-delivery buffer, handed out while handlers run (nil while out)
+}
+
+// endpoint is one interned name. A name passed to SetLink before
+// Register is interned unregistered: it holds link configuration but
+// cannot send or receive, and the accessors skip it.
+type endpoint struct {
+	name       string
+	registered bool
+	handler    Handler
+	stats      Stats
+	faults     epFaults // cached plan state for this endpoint
+}
+
+// pairState is one directed link: its configured quality and the cached
+// plan state for the pair.
+type pairState struct {
+	from, to int32
+	link     Link
+	hasLink  bool // false: the network's default link applies
+	faults   pairFaults
+}
+
+// pairMemo remembers the last resolved (From, To) names. Entries are
+// never unregistered and IDs are never reused, so a memo stays valid
+// until the next miss overwrites it.
+type pairMemo struct {
+	ok       bool
+	from, to string
+	pair     int32
+}
+
+// queued is one async message awaiting Flush, with its endpoints
+// already resolved to their pair.
+type queued struct {
+	msg  Message
+	pair int32
+}
+
+// delivery is one handler invocation owed after the lock is released.
+type delivery struct {
+	msg     Message
+	h       Handler
+	latency float64
 }
 
 // ErrUnknownNode reports a send to an unregistered node.
@@ -74,11 +132,35 @@ var ErrUnknownNode = errors.New("netsim: unknown node")
 // New returns an empty network; seed makes loss deterministic.
 func New(seed int64) *Network {
 	return &Network{
-		rng:      rand.New(rand.NewSource(seed)),
-		handlers: make(map[string]Handler),
-		links:    make(map[string]Link),
-		stats:    make(map[string]*Stats),
+		rng:     rand.New(rand.NewSource(seed)),
+		ids:     make(map[string]int32),
+		pairIdx: make(map[[2]int32]int32),
 	}
+}
+
+// internLocked returns name's endpoint ID, adding it unregistered on
+// first sight.
+func (n *Network) internLocked(name string) int32 {
+	if id, ok := n.ids[name]; ok {
+		return id
+	}
+	id := int32(len(n.eps))
+	n.ids[name] = id
+	n.eps = append(n.eps, endpoint{name: name})
+	return id
+}
+
+// pairLocked returns the index of the from→to pair, adding it on first
+// sight.
+func (n *Network) pairLocked(from, to int32) int32 {
+	k := [2]int32{from, to}
+	if i, ok := n.pairIdx[k]; ok {
+		return i
+	}
+	i := int32(len(n.pairs))
+	n.pairIdx[k] = i
+	n.pairs = append(n.pairs, pairState{from: from, to: to})
+	return i
 }
 
 // Register adds a node with its delivery handler (nil for a sink that
@@ -86,11 +168,12 @@ func New(seed int64) *Network {
 func (n *Network) Register(id string, h Handler) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.handlers[id]; ok {
+	i := n.internLocked(id)
+	if n.eps[i].registered {
 		return fmt.Errorf("netsim: node %q already registered", id)
 	}
-	n.handlers[id] = h
-	n.stats[id] = &Stats{}
+	n.eps[i].registered = true
+	n.eps[i].handler = h
 	return nil
 }
 
@@ -101,10 +184,12 @@ func (n *Network) SetDefaultLink(l Link) {
 	n.mu.Unlock()
 }
 
-// SetLink sets a directed link's quality.
+// SetLink sets a directed link's quality. The endpoints need not be
+// registered yet; the link applies once they are.
 func (n *Network) SetLink(from, to string, l Link) {
 	n.mu.Lock()
-	n.links[from+"→"+to] = l
+	ps := &n.pairs[n.pairLocked(n.internLocked(from), n.internLocked(to))]
+	ps.link, ps.hasLink = l, true
 	n.mu.Unlock()
 }
 
@@ -113,6 +198,7 @@ func (n *Network) SetLink(from, to string, l Link) {
 func (n *Network) SetFaultPlan(p *FaultPlan) {
 	n.mu.Lock()
 	n.plan = p
+	n.faultGen++ // nothing cached from the previous plan survives
 	n.mu.Unlock()
 }
 
@@ -202,38 +288,80 @@ func (d *obsDelta) flush() {
 	}
 }
 
-// transmitLocked runs one transmission attempt under n.mu: fault-plan
-// verdict, tx accounting, loss draw, then either async enqueue or sync
-// rx accounting. It consumes exactly the RNG draws Deliver historically
+// resolveLocked maps a message's endpoint names to its pair index: the
+// memo on a repeat of the last pair, otherwise one map lookup per name.
+// Both endpoints must be registered.
+func (n *Network) resolveLocked(from, to string) (int32, error) {
+	m := &n.memo
+	if m.ok && from == m.from && to == m.to {
+		return m.pair, nil
+	}
+	f, ok := n.ids[from]
+	if !ok || !n.eps[f].registered {
+		return -1, fmt.Errorf("%w: sender %q", ErrUnknownNode, from)
+	}
+	t, ok := n.ids[to]
+	if !ok || !n.eps[t].registered {
+		return -1, fmt.Errorf("%w: receiver %q", ErrUnknownNode, to)
+	}
+	i := n.pairLocked(f, t)
+	*m = pairMemo{ok: true, from: from, to: to, pair: i}
+	return i, nil
+}
+
+// linkLocked returns the pair's effective link quality.
+func (n *Network) linkLocked(ps *pairState) Link {
+	if ps.hasLink {
+		return ps.link
+	}
+	return n.defLink
+}
+
+// lockPlanLocked takes the installed plan's lock — once per Deliver,
+// DeliverBatch or Flush, never per message — and starts a new fault-cache
+// generation if the plan changed since the network last looked. The
+// caller holds n.mu (lock order Network.mu → FaultPlan.mu) and unlocks
+// the returned plan, when non-nil, before releasing n.mu.
+func (n *Network) lockPlanLocked() *FaultPlan {
+	p := n.plan
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	if g := p.genLocked(); g != n.planGen {
+		n.planGen = g
+		n.faultGen++
+	}
+	return p
+}
+
+// transmitLocked runs one transmission attempt under n.mu (and the
+// plan's lock, if a plan is installed): fault-plan verdict, tx
+// accounting, loss draw, then either async enqueue or sync rx
+// accounting. It consumes exactly the RNG draws Deliver historically
 // consumed, in the same order, so a batch of calls is stream-identical
 // to sequential Deliver calls with the same seed. Observability deltas
 // go to d (the caller flushes after unlock); on txDelivered the caller
 // still owes the handler invocation and the latency observation. downID
 // names the down endpoint on txDown; err is non-nil only for txErr.
-func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Handler, latencyMS float64, downID string, err error) {
-	if _, ok := n.handlers[msg.From]; !ok {
-		return txErr, nil, 0, "", fmt.Errorf("%w: sender %q", ErrUnknownNode, msg.From)
+func (n *Network) transmitLocked(msg *Message, d *obsDelta) (out txOutcome, h Handler, latencyMS float64, downID string, err error) {
+	pi, err := n.resolveLocked(msg.From, msg.To)
+	if err != nil {
+		return txErr, nil, 0, "", err
 	}
-	h, ok := n.handlers[msg.To]
-	if !ok {
-		return txErr, nil, 0, "", fmt.Errorf("%w: receiver %q", ErrUnknownNode, msg.To)
-	}
-	link, ok := n.links[msg.From+"→"+msg.To]
-	if !ok {
-		link = n.defLink
-	}
+	ps := &n.pairs[pi]
 	idx := n.msgCount
 	n.msgCount++
 	size := len(msg.Payload)
+	tx := &n.eps[ps.from].stats
 	skipLoss := false
 	if n.plan != nil {
-		act, id := n.plan.verdict(msg.From, msg.To, idx, n.rng)
+		act, id := n.verdictLocked(ps, idx)
 		switch act {
 		case faultDown:
 			d.down++
-			return txDown, nil, 0, id, nil
+			return txDown, nil, 0, n.eps[id].name, nil
 		case faultPartition, faultBurst:
-			tx := n.stats[msg.From]
 			tx.TxMessages++
 			tx.TxBytes += size
 			tx.Dropped++
@@ -250,27 +378,27 @@ func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Han
 			skipLoss = true // the burst channel already decided delivery
 		}
 	}
-	tx := n.stats[msg.From]
 	tx.TxMessages++
 	tx.TxBytes += size
 	d.txMsgs++
 	d.txBytes += int64(size)
+	link := n.linkLocked(ps)
 	if !skipLoss && link.LossProb > 0 && n.rng.Float64() < link.LossProb {
 		tx.Dropped++
 		d.lost++
 		return txLost, nil, 0, "", nil // lost in transit; not an error
 	}
 	if n.async {
-		n.queue = append(n.queue, msg)
+		n.queue = append(n.queue, queued{msg: *msg, pair: pi})
 		return txQueued, nil, 0, "", nil // accepted; rx accounting happens at Flush
 	}
-	rx := n.stats[msg.To]
-	rx.RxMessages++
-	rx.RxBytes += size
+	rx := &n.eps[ps.to]
+	rx.stats.RxMessages++
+	rx.stats.RxBytes += size
 	n.simTime += link.LatencyMS
 	d.rxMsgs++
 	d.rxBytes += int64(size)
-	return txDelivered, h, link.LatencyMS, "", nil
+	return txDelivered, rx.handler, link.LatencyMS, "", nil
 }
 
 // Deliver is Send exposing the delivery outcome: delivered=false with a
@@ -281,7 +409,11 @@ func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Han
 func (n *Network) Deliver(msg Message) (delivered bool, err error) {
 	var d obsDelta
 	n.mu.Lock()
-	out, h, latency, downID, err := n.transmitLocked(msg, &d)
+	p := n.lockPlanLocked()
+	out, h, latency, downID, err := n.transmitLocked(&msg, &d)
+	if p != nil {
+		p.mu.Unlock()
+	}
 	n.mu.Unlock()
 	d.flush()
 	switch out {
@@ -309,34 +441,30 @@ type BatchResult struct {
 	Down      int // a down endpoint: skipped, nothing charged
 }
 
-// DeliverBatch transmits a slice of messages under one lock acquisition
-// — the fleet layer's enqueue path, where a shard's round of measurement
-// envelopes would otherwise pay a lock handshake and a few atomic
-// counter updates per message. Per-message semantics are identical to
-// calling Deliver in slice order (same fault verdicts, same RNG draw
-// order, same per-node accounting), so batched enqueue followed by Flush
-// is equivalent to sequential sends; TestBatchedEnqueueMatchesSequentialSend
-// pins this. Two deviations, both deliberate: a down endpoint does not
-// fail the batch — the message is skipped with nothing charged (the
-// "error ⇒ nothing charged" contract) and counted in Down — and only an
-// unknown endpoint aborts, returning the partial result alongside the
-// error. In sync mode handlers run after the lock is released, in slice
-// order.
+// DeliverBatch transmits a slice of messages under one acquisition of the
+// network lock and of the fault plan's lock — the fleet layer's enqueue
+// path, where a shard's round of measurement envelopes would otherwise
+// pay a lock handshake and a few atomic counter updates per message.
+// Per-message semantics are identical to calling Deliver in slice order
+// (same fault verdicts, same RNG draw order, same per-node accounting),
+// so batched enqueue followed by Flush is equivalent to sequential sends;
+// TestSendDeliverEquivalence pins this. Two deviations, both deliberate:
+// a down endpoint does not fail the batch — the message is skipped with
+// nothing charged (the "error ⇒ nothing charged" contract) and counted in
+// Down — and only an unknown endpoint aborts, returning the partial
+// result alongside the error. In sync mode handlers run after the locks
+// are released, in slice order.
 func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
-	type delivery struct {
-		msg     Message
-		h       Handler
-		latency float64
-	}
 	var (
 		res    BatchResult
 		d      obsDelta
-		out    []delivery
 		batErr error
 	)
 	n.mu.Lock()
-	for _, m := range msgs {
-		o, h, latency, _, err := n.transmitLocked(m, &d)
+	p := n.lockPlanLocked()
+	out := n.dlv
+	for i := range msgs {
+		o, h, latency, _, err := n.transmitLocked(&msgs[i], &d)
 		if o == txErr {
 			batErr = err
 			break // abort; messages already charged still get their handlers
@@ -350,18 +478,42 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 			res.Queued++
 		case txDelivered:
 			res.Delivered++
-			out = append(out, delivery{m, h, latency})
+			out = append(out, delivery{msgs[i], h, latency})
 		}
+	}
+	if p != nil {
+		p.mu.Unlock()
+	}
+	if len(out) > 0 {
+		n.dlv = nil // handed out until runDeliveries returns it
 	}
 	n.mu.Unlock()
 	d.flush()
-	for _, dv := range out {
-		obsLatency.Observe(dv.latency)
-		if dv.h != nil {
-			dv.h(dv.msg)
-		}
+	if len(out) > 0 {
+		n.runDeliveries(out)
 	}
 	return res, batErr
+}
+
+// runDeliveries invokes the handlers owed for out, in order, with no lock
+// held, then clears out (so it pins no payloads) and hands it back as the
+// network's delivery buffer. The buffer is handed out while handlers run:
+// a handler that re-enters Deliver, DeliverBatch or Flush, or a concurrent
+// Flush, finds none and appends to a fresh one, and the larger of the two
+// is kept on return.
+func (n *Network) runDeliveries(out []delivery) {
+	for i := range out {
+		obsLatency.Observe(out[i].latency)
+		if h := out[i].h; h != nil {
+			h(out[i].msg)
+		}
+	}
+	clear(out)
+	n.mu.Lock()
+	if cap(out) > cap(n.dlv) {
+		n.dlv = out[:0]
+	}
+	n.mu.Unlock()
 }
 
 // Flush delivers the async queue, applying the fault plan's reorder and
@@ -386,42 +538,48 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 // only for copies actually delivered, and netsim.fault.down once per
 // message dropped to a down receiver. TestFlushAccountingInvariant pins
 // all of it. Returns the number of handler deliveries performed.
+//
+// The whole queue is resolved under the locks, so Flush drains it in
+// place and keeps its capacity for the next round; handlers then run
+// unlocked from the delivery buffer (see runDeliveries). A message a
+// handler sends meanwhile lands on the emptied queue for the next Flush.
 func (n *Network) Flush() int {
-	type delivery struct {
-		msg     Message
-		h       Handler
-		latency float64
-	}
 	var d obsDelta
 	n.mu.Lock()
+	p := n.lockPlanLocked()
 	q := n.queue
-	n.queue = nil
 	var dupP, reoP float64
-	if n.plan != nil {
-		dupP, reoP = n.plan.dupReorder()
+	if p != nil {
+		dupP, reoP = p.dupReorderLocked()
 	}
 	if reoP > 0 && len(q) > 1 {
-		kept := make([]Message, 0, len(q))
-		var deferred []Message
-		for _, m := range q {
+		// Stable partition in place: kept messages compact to the front,
+		// deferred ones follow in their original order.
+		kept, def := 0, n.deferred
+		for i := range q {
 			if n.rng.Float64() < reoP {
-				deferred = append(deferred, m)
+				def = append(def, q[i])
 				d.reorder++
 			} else {
-				kept = append(kept, m)
+				q[kept] = q[i]
+				kept++
 			}
 		}
-		q = append(kept, deferred...)
+		copy(q[kept:], def)
+		clear(def)
+		n.deferred = def[:0]
 	}
-	var out []delivery
-	for _, m := range q {
+	out := n.dlv
+	for i := range q {
+		m := &q[i]
+		ps := &n.pairs[m.pair]
 		// Down check first: a message to a receiver that crashed after
 		// enqueue is dropped before the duplicate draw, so the dup RNG
 		// stream and netsim.fault.dup only see deliverable messages and
 		// the sender is charged one Dropped regardless of what a
 		// duplicate draw would have said.
-		if n.plan != nil && n.plan.nodeDown(m.To, n.msgCount) {
-			n.stats[m.From].Dropped++
+		if p != nil && n.downLocked(ps.to, n.msgCount) {
+			n.eps[ps.from].stats.Dropped++
 			d.lost++
 			d.down++
 			continue
@@ -431,28 +589,30 @@ func (n *Network) Flush() int {
 			copies = 2
 			d.duplicate++
 		}
-		link, ok := n.links[m.From+"→"+m.To]
-		if !ok {
-			link = n.defLink
-		}
-		size := len(m.Payload)
-		rx := n.stats[m.To]
+		latency := n.linkLocked(ps).LatencyMS
+		size := len(m.msg.Payload)
+		rx := &n.eps[ps.to]
 		for c := 0; c < copies; c++ {
-			rx.RxMessages++
-			rx.RxBytes += size
-			n.simTime += link.LatencyMS
+			rx.stats.RxMessages++
+			rx.stats.RxBytes += size
+			n.simTime += latency
 			d.rxMsgs++
 			d.rxBytes += int64(size)
-			out = append(out, delivery{m, n.handlers[m.To], link.LatencyMS})
+			out = append(out, delivery{m.msg, rx.handler, latency})
 		}
+	}
+	clear(q)
+	n.queue = q[:0]
+	if p != nil {
+		p.mu.Unlock()
+	}
+	if len(out) > 0 {
+		n.dlv = nil // handed out until runDeliveries returns it
 	}
 	n.mu.Unlock()
 	d.flush()
-	for _, dv := range out {
-		obsLatency.Observe(dv.latency)
-		if dv.h != nil {
-			dv.h(dv.msg)
-		}
+	if len(out) > 0 {
+		n.runDeliveries(out)
 	}
 	return len(out)
 }
@@ -473,14 +633,14 @@ func (n *Network) SetDuplexLink(a, b string, l Link) {
 // broadcast.
 func (n *Network) Broadcast(from, topic string, payload []byte) (int, error) {
 	n.mu.Lock()
-	if _, ok := n.handlers[from]; !ok {
+	if id, ok := n.ids[from]; !ok || !n.eps[id].registered {
 		n.mu.Unlock()
 		return 0, fmt.Errorf("%w: sender %q", ErrUnknownNode, from)
 	}
-	targets := make([]string, 0, len(n.handlers))
-	for id := range n.handlers {
-		if id != from {
-			targets = append(targets, id)
+	targets := make([]string, 0, len(n.eps))
+	for i := range n.eps {
+		if e := &n.eps[i]; e.registered && e.name != from {
+			targets = append(targets, e.name)
 		}
 	}
 	n.mu.Unlock()
@@ -499,11 +659,11 @@ func (n *Network) Broadcast(from, topic string, payload []byte) (int, error) {
 func (n *Network) NodeStats(id string) (Stats, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s, ok := n.stats[id]
-	if !ok {
+	i, ok := n.ids[id]
+	if !ok || !n.eps[i].registered {
 		return Stats{}, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	return *s, nil
+	return n.eps[i].stats, nil
 }
 
 // Totals sums the counters across all nodes.
@@ -511,48 +671,44 @@ func (n *Network) Totals() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var t Stats
-	for _, s := range n.stats {
-		t.TxMessages += s.TxMessages
-		t.RxMessages += s.RxMessages
-		t.TxBytes += s.TxBytes
-		t.RxBytes += s.RxBytes
-		t.Dropped += s.Dropped
+	for i := range n.eps {
+		if s := &n.eps[i].stats; n.eps[i].registered {
+			t.TxMessages += s.TxMessages
+			t.RxMessages += s.RxMessages
+			t.TxBytes += s.TxBytes
+			t.RxBytes += s.RxBytes
+			t.Dropped += s.Dropped
+		}
 	}
 	return t
 }
 
 // MaxTx returns the node with the highest transmit count and that count —
-// the bottleneck metric for the Fig. 1 hierarchy experiment.
+// the bottleneck metric for the Fig. 1 hierarchy experiment. Ties go to
+// the lexicographically smallest name.
 func (n *Network) MaxTx() (string, int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.stats))
-	for id := range n.stats {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // deterministic tie-break
-	best, bestN := "", -1
-	for _, id := range ids {
-		if n.stats[id].TxMessages > bestN {
-			best, bestN = id, n.stats[id].TxMessages
-		}
-	}
-	return best, bestN
+	return n.maxBy(func(s *Stats) int { return s.TxMessages })
 }
 
 // MaxRx returns the node with the highest receive count and that count.
 func (n *Network) MaxRx() (string, int) {
+	return n.maxBy(func(s *Stats) int { return s.RxMessages })
+}
+
+// maxBy returns the registered node maximising count, breaking ties by
+// the smallest name (deterministic whatever the registration order), or
+// ("", -1) with no nodes.
+func (n *Network) maxBy(count func(*Stats) int) (string, int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.stats))
-	for id := range n.stats {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	best, bestN := "", -1
-	for _, id := range ids {
-		if n.stats[id].RxMessages > bestN {
-			best, bestN = id, n.stats[id].RxMessages
+	for i := range n.eps {
+		e := &n.eps[i]
+		if !e.registered {
+			continue
+		}
+		if c := count(&e.stats); c > bestN || (c == bestN && e.name < best) {
+			best, bestN = e.name, c
 		}
 	}
 	return best, bestN
@@ -569,8 +725,8 @@ func (n *Network) SimTimeMS() float64 {
 // ResetStats zeros all counters, keeping topology.
 func (n *Network) ResetStats() {
 	n.mu.Lock()
-	for id := range n.stats {
-		n.stats[id] = &Stats{}
+	for i := range n.eps {
+		n.eps[i].stats = Stats{}
 	}
 	n.simTime = 0
 	n.mu.Unlock()

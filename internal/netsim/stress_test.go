@@ -11,9 +11,12 @@ import (
 
 // TestStatsAccessorsUnderConcurrentTraffic is the -race audit of the stats
 // accessors: NodeStats, Totals, MaxTx/MaxRx, SimTimeMS, and ResetStats all
-// run concurrently with Send and Broadcast traffic. Any unguarded read of
-// the per-node Stats or the simTime accumulator shows up as a data race
-// under scripts/check.sh's race suite.
+// run concurrently with Send and Broadcast traffic, and — on a second,
+// async network with dup and reorder — DeliverBatch writers race
+// concurrent Flush calls whose handlers re-enter Deliver. Any unguarded
+// read of the per-node Stats or the simTime accumulator, or a delivery
+// buffer shared between two Flushes, shows up as a data race under
+// scripts/check.sh's race suite.
 func TestStatsAccessorsUnderConcurrentTraffic(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	n := New(42)
@@ -76,7 +79,80 @@ func TestStatsAccessorsUnderConcurrentTraffic(t *testing.T) {
 			n.ResetStats()
 		}
 	}()
+	// Async network: batch writers, two flushers, and a handler that
+	// forwards every tenth message back into the network mid-Flush.
+	an := New(43)
+	an.SetAsync(true)
+	plan := NewFaultPlan()
+	plan.SetDuplicateProb(0.1)
+	plan.SetReorderProb(0.2)
+	an.SetFaultPlan(plan)
+	var handled sync.Map // per-receiver handler counts, read after the dust settles
+	for i := range ids {
+		id := ids[i]
+		var count int64
+		var mu sync.Mutex
+		handled.Store(id, &count)
+		if err := an.Register(id, func(m Message) {
+			mu.Lock()
+			count++
+			fwd := count%10 == 0
+			mu.Unlock()
+			if fwd {
+				if _, err := an.Deliver(Message{From: m.To, To: m.From, Payload: m.Payload}); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := make([]Message, 16)
+			for i := 0; i < rounds/10; i++ {
+				for j := range batch {
+					batch[j] = Message{From: ids[(w+j)%nodes], To: ids[(w+j+i+1)%nodes], Payload: []byte("q")}
+					if batch[j].From == batch[j].To {
+						batch[j].To = ids[(w+j+1)%nodes]
+					}
+				}
+				if _, err := an.DeliverBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for f := 0; f < 2; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds/10; i++ {
+				an.Flush()
+				_ = an.Totals()
+			}
+		}()
+	}
 	wg.Wait()
+
+	for an.Pending() > 0 {
+		an.Flush()
+	}
+	var runs int64
+	handled.Range(func(_, v any) bool {
+		runs += *v.(*int64)
+		return true
+	})
+	atot := an.Totals()
+	if runs != int64(atot.RxMessages) {
+		t.Fatalf("async handlers ran %d times, rx charged %d", runs, atot.RxMessages)
+	}
+	if atot.RxMessages < atot.TxMessages-atot.Dropped {
+		t.Fatalf("async rx %d < tx %d - dropped %d: a queued message was lost", atot.RxMessages, atot.TxMessages, atot.Dropped)
+	}
 
 	// Post-conditions: counters are internally consistent after the dust
 	// settles (every delivered message was counted on both sides).

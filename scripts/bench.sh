@@ -54,6 +54,11 @@ FLEET_BENCH_FULL=1 go test -run '^$' -bench 'BenchmarkMillionNodeCampaign' \
     -benchmem -benchtime 1x -timeout 30m . | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkStepWaypoints4096' \
     -benchmem -benchtime "$BENCHTIME" ./internal/mobility/ | tee -a "$TMP"
+# Transport: one fleet-shaped netsim round (DeliverBatch per shard, then
+# Flush, under burst loss, dup and reorder) at the fleet campaign's
+# per-round size; the warmed round allocates nothing.
+go test -run '^$' -bench 'BenchmarkNetsimFleetRound' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/netsim/ | tee -a "$TMP"
 
 awk -v go_version="$(go version | awk '{print $3}')" '
 BEGIN { n = 0 }

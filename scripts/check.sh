@@ -77,6 +77,8 @@ go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 3s ./internal/bus
 go test -run '^$' -fuzz '^FuzzTopicMatch$' -fuzztime 3s ./internal/bus
 go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 3s ./internal/lint
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 3s ./internal/query
+go test -run '^$' -fuzz '^FuzzDeliverBatch$' -fuzztime 3s ./internal/netsim
+go test -run '^$' -fuzz '^FuzzDecodeSample$' -fuzztime 3s ./internal/fleet
 
 echo "== go test -race =="
 GOMAXPROCS="${GOMAXPROCS:-4}" go test -race ./...
