@@ -179,10 +179,15 @@ func gridProblem(b *testing.B, w, h, m int) (*field.Field, []int, []float64) {
 }
 
 // BenchmarkDecode64GridDense decodes a 64×64 field through the dense
-// 4096×4096 Kronecker DCT matrix — the pre-operator reference path.
+// 4096×4096 Kronecker DCT matrix wrapped by basis.FromMatrix — the dense
+// reference path.
 func BenchmarkDecode64GridDense(b *testing.B) {
-	truth, locs, y := gridProblem(b, 64, 64, 400)
-	phi, err := truth.Basis2D(basis.KindDCT)
+	_, locs, y := gridProblem(b, 64, 64, 400)
+	phi, err := basis.Kron2D(basis.DCT(64), basis.DCT(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, err := basis.FromMatrix(phi)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +195,7 @@ func BenchmarkDecode64GridDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.CHS(phi, locs, y, opts); err != nil {
+		if _, err := cs.CHSOp(op, locs, y, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

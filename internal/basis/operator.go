@@ -68,10 +68,10 @@ type EntryAccessor interface {
 
 // OperatorFor returns the matrix-free operator for the given basis family
 // and size. DCT/DFT get the FFT fast path when n is a power of two and fall
-// back to the memoized dense matrix otherwise; Haar (power-of-two only, as
-// with New) always uses the O(n) lifting cascade; Identity is free. Learned
-// bases have no (kind, n) identity — wrap the learned matrix with
-// FromMatrix instead.
+// back to a dense MatrixOp otherwise (built once per (kind, n) through
+// CachedOperator); Haar (power-of-two only, as with New) always uses the
+// O(n) lifting cascade; Identity is free. Learned bases have no (kind, n)
+// identity — wrap the learned matrix with FromMatrix instead.
 func OperatorFor(kind Kind, n int) (Operator, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative size %d", ErrBadSize, n)
@@ -102,7 +102,7 @@ func OperatorFor(kind Kind, n int) (Operator, error) {
 }
 
 func denseFallback(kind Kind, n int) (Operator, error) {
-	m, err := Cached(kind, n)
+	m, err := New(kind, n)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestRowIntoMatchesTranspose(t *testing.T) {
 		}
 	}
 	// Dense fallback (MatrixOp) and the 2-D Kronecker composition.
-	m, err := Cached(KindDCT, 20)
+	m, err := New(KindDCT, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func benchOperatorDCT(b *testing.B, n int) {
 }
 
 func benchDenseDCT(b *testing.B, n int) {
-	phi := CachedDCT(n)
+	phi := DCT(n)
 	rng := rand.New(rand.NewSource(18))
 	x := randVec(rng, n)
 	y := make([]float64, n)

@@ -387,8 +387,12 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 
 // ReconstructOptions tunes the broker-side recovery.
 type ReconstructOptions struct {
-	Basis    basis.Kind  // default DCT
-	K        int         // sparsity budget; 0 = len(locs)/3 heuristic
+	Basis basis.Kind // default DCT
+	// K is the sparsity budget (CHSOptions.MaxSupport); 0 = len(locs)/3
+	// heuristic. The decode admits one atom per iteration and leaves
+	// CHSOptions.MaxIter at its default of 32, so no reconstruction holds
+	// more than 32 atoms however large K is: K: 64 still stops at 32.
+	K        int
 	UseGLS   bool        // weight by per-sensor noise (heterogeneous phones)
 	LearnPhi *mat.Matrix // optional prior basis overriding Basis
 

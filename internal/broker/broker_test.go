@@ -519,3 +519,27 @@ func TestGatherContextCancelled(t *testing.T) {
 		t.Fatalf("Gather after cancelled round: %v", err)
 	}
 }
+
+// TestReconstructSupportCappedByMaxIter pins the broker's hidden support
+// cap: CHS admits one atom per iteration (PerIter 1) and MaxIter keeps its
+// default of 32, so a K above 32 cannot raise the support past 32. The
+// fully sampled 8×8 plume is not 32-sparse, so the cap binds.
+func TestReconstructSupportCappedByMaxIter(t *testing.T) {
+	br, truth, _ := testNC(t, 0, 9)
+	g := &GatherResult{}
+	for l, v := range truth.Data {
+		g.Locs = append(g.Locs, l)
+		g.Values = append(g.Values, v)
+		g.Sigmas = append(g.Sigmas, 0.1)
+	}
+	rec, err := br.ReconstructFrom(g, ReconstructOptions{K: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rec.Result.Support); got != 32 {
+		t.Fatalf("K=64 recovered %d atoms, want the MaxIter cap of 32", got)
+	}
+	if rec.Result.Iterations != 32 {
+		t.Fatalf("decode ran %d iterations, want 32", rec.Result.Iterations)
+	}
+}

@@ -71,46 +71,23 @@ type CHSOptions struct {
 	SeedRelTol float64
 }
 
-// CHS runs the paper's Fig. 6 "Compressive Heterogeneous Sensing"
+// CHSOp runs the paper's Fig. 6 "Compressive Heterogeneous Sensing"
 // algorithm: starting from an empty support it repeatedly (a) interpolates
 // the sensor residual to the full grid with Υ, (b) analyzes it in the
 // basis, (c–d) admits the most significant coefficients to the index set J,
 // (e) re-solves the coefficients on J with OLS or GLS, and (f) updates the
 // residual, until the stop criterion is met. It returns the reconstruction
 // x̂ = Φ_K α_K along with the recovered support.
-func CHS(phi *mat.Matrix, locs []int, y []float64, opts CHSOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return chsDict(d, locs, y, opts)
-}
-
-// CHSOp is CHS through a matrix-free basis operator: the step-(b)
-// full-basis analysis Φᵀe becomes one fast transform and each admitted
-// column one synthesis — the combination that makes 1024² broker
-// reconstructions feasible (the dense Φ there would be ~8 TB).
+//
+// On a matrix-free operator the step-(b) full-basis analysis Φᵀe is one
+// fast transform and each admitted column one synthesis — the combination
+// that makes 1024² broker reconstructions feasible (the dense Φ there
+// would be ~8 TB).
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return chsDict(d, locs, y, opts)
-}
-
-// hasDuplicateLocs reports whether any sensor location appears twice.
-func hasDuplicateLocs(locs []int) bool {
-	seen := make(map[int]struct{}, len(locs))
-	for _, l := range locs {
-		if _, ok := seen[l]; ok {
-			return true
-		}
-		seen[l] = struct{}{}
-	}
-	return false
-}
-
-func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	if len(y) != d.rows() {
 		return nil, errors.New("cs: measurement/location length mismatch")
 	}
@@ -128,14 +105,14 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// exactly Φ̃ᵀe_r — one scatter+analysis with no interpolant allocation.
 	// The fused path is taken only on the matrix-free dictionary (where it
 	// is bit-identical to ZeroFill+analyzeFull, both being a scatter into
-	// the same buffer followed by one ApplyTranspose); the dense dictionary
-	// keeps the historical two-step arithmetic so its decodes stay
-	// bit-identical to the pre-operator implementation. Duplicate sensor
+	// the same buffer followed by one ApplyTranspose); the dense reference
+	// dictionary keeps the two-step arithmetic so its decodes stay pinned
+	// bit for bit (TestDenseReferenceGolden). Duplicate sensor
 	// locations disable it: corrT accumulates where ZeroFill overwrites.
 	od, fused := d.(*opDict)
 	fused = fused && opts.Interp == nil && !hasDuplicateLocs(locs)
 	if opts.Interp == nil {
-		opts.Interp = ZeroFill(d.signalDim())
+		opts.Interp = ZeroFill(d.cols())
 	}
 
 	// Step 1: J = ∅, e_r = x_S. The growing-support OLS of step (e) is kept
@@ -260,4 +237,16 @@ outer:
 		}
 	}
 	return packResultDict(d, support, coef, y, iters)
+}
+
+// hasDuplicateLocs reports whether any sensor location appears twice.
+func hasDuplicateLocs(locs []int) bool {
+	seen := make(map[int]struct{}, len(locs))
+	for _, l := range locs {
+		if _, ok := seen[l]; ok {
+			return true
+		}
+		seen[l] = struct{}{}
+	}
+	return false
 }

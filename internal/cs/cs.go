@@ -3,14 +3,17 @@
 // orthonormal basis Φ from M ≪ N point measurements x_S = x(L) taken at
 // sensor locations L, possibly corrupted by heterogeneous sensor noise.
 //
-// Decoders provided:
-//   - OMP: orthogonal matching pursuit for Eq. (13), the workhorse.
-//   - BasisPursuit: L1 minimization (Eq. 9) via the LP reformulation
-//     (Eq. 10), solved with the internal simplex solver.
-//   - FixedSupportOLS / FixedSupportGLS: the closed-form least-squares
+// Every decoder takes the basis as a basis.Operator: a fast transform
+// decodes matrix-free, and an explicit matrix wrapped by basis.FromMatrix
+// runs the dense reference kernels. Decoders provided:
+//   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
+//   - BasisPursuit / BPDN: L1 minimization (Eq. 9) via the LP
+//     reformulation (Eq. 10), solved with the internal simplex solver.
+//   - FixedSupportOLSOp / FixedSupportGLSOp: the closed-form least-squares
 //     estimates of Eqs. (11) and (12) when the support J is known.
-//   - CHS (chs.go): the iterative Compressive Heterogeneous Sensing
+//   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
 //     algorithm of Fig. 6 with a pluggable interpolation operator Υ.
+//   - IHTOp / CoSaMPOp (decoders.go): the standard greedy alternatives.
 package cs
 
 import (
@@ -35,7 +38,7 @@ type Result struct {
 	Alpha []float64 // recovered coefficients, length N (zero off support)
 	// Support holds the indices of the recovered nonzero coefficients J,
 	// in admission order. Feeding it back as the seed of the next decode
-	// (OMPSeeded / CHSOptions.SeedSupport) warm-starts the solver: for an
+	// (OMPSeededOp / CHSOptions.SeedSupport) warm-starts the solver: for an
 	// unchanged field the warm decode is bit-identical to a cold one and
 	// skips the greedy search entirely.
 	Support    []int
@@ -44,50 +47,33 @@ type Result struct {
 	Iterations int
 }
 
-// OMP recovers a K-sparse coefficient vector from measurements y taken at
-// locations locs, using orthogonal matching pursuit (Tropp & Gilbert; the
-// solver the paper names for Eq. 13). It stops after k atoms or when the
-// residual norm drops below tol.
+// OMPOp recovers a K-sparse coefficient vector from measurements y taken
+// at locations locs, using orthogonal matching pursuit (Tropp & Gilbert;
+// the solver the paper names for Eq. 13). It stops after k atoms or when
+// the residual norm drops below tol.
 //
 // The per-iteration work is the incremental fast path: the correlation scan
 // is one Φ̃ᵀr pass, the selected column is folded into a rank-1 updated QR
 // factorization, and the residual is deflated in O(M) — no per-iteration
 // submatrix copy or full refactorization. The least-squares coefficients
-// are solved once, at the end, from the accumulated factors.
-func OMP(phi *mat.Matrix, locs []int, y []float64, k int, tol float64) (*Result, error) {
-	return OMPSeeded(phi, locs, y, k, tol, nil)
-}
-
-// OMPSeeded is OMP warm-started from a previously recovered support (see
-// Result.Support). Seed columns are folded into the incremental-QR factors
-// before the first greedy iteration; an unchanged field then costs one
-// residual check plus the final solve and is bit-identical to the cold
-// decode. Invalid or rank-deficient seeds fall back to a cold start.
-func OMPSeeded(phi *mat.Matrix, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return ompDict(d, y, k, tol, seed)
-}
-
-// OMPOp is OMP through a matrix-free basis operator: correlations and
-// column extractions run in O(n log n) scatter/gather applies instead of
-// dense M×N passes. A *basis.MatrixOp routes to the dense reference kernel.
+// are solved once, at the end, from the accumulated factors. On a
+// matrix-free operator the correlations and column extractions are
+// O(n log n) scatter/gather applies; a *basis.MatrixOp runs the dense
+// reference kernels.
 func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Result, error) {
 	return OMPSeededOp(op, locs, y, k, tol, nil)
 }
 
-// OMPSeededOp is OMPSeeded through a matrix-free operator.
+// OMPSeededOp is OMPOp warm-started from a previously recovered support
+// (see Result.Support). Seed columns are folded into the incremental-QR
+// factors before the first greedy iteration; an unchanged field then costs
+// one residual check plus the final solve and is bit-identical to the cold
+// decode. Invalid or rank-deficient seeds fall back to a cold start.
 func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return ompDict(d, y, k, tol, seed)
-}
-
-func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, error) {
 	m, n := d.rows(), d.cols()
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
@@ -185,31 +171,21 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 	return packResultDict(d, support, coef, y, iters)
 }
 
-// OMPCentered recovers a signal whose prior mean mu (length N) is known —
+// OMPCenteredOp recovers a signal whose prior mean mu (length N) is known —
 // the right decoder for a PCA basis learned from historical traces, whose
 // columns span the variation *around* the mean: the measurements are
 // mean-centered before decoding and the mean is added back to Xhat.
 // Alpha/Support/Residual describe the centered component.
-func OMPCentered(phi *mat.Matrix, locs []int, y []float64, mu []float64, k int, tol float64) (*Result, error) {
-	yc, err := centerMeasurements(locs, y, mu, phi.Rows)
-	if err != nil {
-		return nil, err
-	}
-	res, err := OMP(phi, locs, yc, k, tol)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Xhat {
-		res.Xhat[i] += mu[i]
-	}
-	return res, nil
-}
-
-// OMPCenteredOp is OMPCentered through a matrix-free operator.
 func OMPCenteredOp(op basis.Operator, locs []int, y []float64, mu []float64, k int, tol float64) (*Result, error) {
-	yc, err := centerMeasurements(locs, y, mu, op.Dim())
-	if err != nil {
-		return nil, err
+	if len(mu) != op.Dim() {
+		return nil, fmt.Errorf("cs: mean length %d, want %d", len(mu), op.Dim())
+	}
+	yc := make([]float64, len(y))
+	for i, l := range locs {
+		if l < 0 || l >= len(mu) {
+			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, len(mu))
+		}
+		yc[i] = y[i] - mu[l]
 	}
 	res, err := OMPOp(op, locs, yc, k, tol)
 	if err != nil {
@@ -221,20 +197,6 @@ func OMPCenteredOp(op basis.Operator, locs []int, y []float64, mu []float64, k i
 	return res, nil
 }
 
-func centerMeasurements(locs []int, y, mu []float64, dim int) ([]float64, error) {
-	if len(mu) != dim {
-		return nil, fmt.Errorf("cs: mean length %d, want %d", len(mu), dim)
-	}
-	yc := make([]float64, len(y))
-	for i, l := range locs {
-		if l < 0 || l >= len(mu) {
-			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, len(mu))
-		}
-		yc[i] = y[i] - mu[l]
-	}
-	return yc, nil
-}
-
 // BasisPursuit recovers the minimum-L1 coefficient vector subject to the
 // measurement constraint (paper Eq. 9), via the slack-variable LP of
 // Eq. 10 expressed in standard form with the split α = u − v, u,v ≥ 0:
@@ -244,15 +206,12 @@ func centerMeasurements(locs []int, y, mu []float64, dim int) ([]float64, error)
 // Exact equality constraints make this appropriate for (near-)noiseless
 // measurements; use OMP or CHS when noise is significant. zeroTol trims
 // solver jitter from the returned support.
-func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*Result, error) {
-	a, err := sensingMatrix(phi, locs)
+func BasisPursuit(op basis.Operator, locs []int, y []float64, zeroTol float64) (*Result, error) {
+	d, a, err := lpSystem(op, locs, y)
 	if err != nil {
 		return nil, err
 	}
 	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
-	}
 	prob := lp.Problem{
 		Rows: m, Cols: 2 * n,
 		A: make([]float64, m*2*n),
@@ -272,6 +231,33 @@ func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*R
 	if err != nil {
 		return nil, fmt.Errorf("cs: basis pursuit LP failed: %w", err)
 	}
+	return lpResult(d, sol, y, zeroTol)
+}
+
+// lpSystem builds the decode dictionary for the LP decoders together with
+// the explicit M×N sensing matrix Φ̃ = Φ(L,:) their constraints are
+// written in: every dictionary column, gathered at the sensors.
+func lpSystem(op basis.Operator, locs []int, y []float64) (dict, *mat.Matrix, error) {
+	d, err := dictFor(op, locs)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, n := d.rows(), d.cols()
+	if len(y) != m {
+		return nil, nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
+	}
+	a := mat.New(m, n)
+	if err := d.subInto(a, LowFrequencySupport(n)); err != nil {
+		return nil, nil, err
+	}
+	return d, a, nil
+}
+
+// lpResult reads α = u − v off an LP solution whose first 2n variables
+// are the split (u, v), trimming entries within zeroTol of zero as solver
+// jitter.
+func lpResult(d dict, sol *lp.Result, y []float64, zeroTol float64) (*Result, error) {
+	n := d.cols()
 	support := make([]int, 0)
 	coef := make([]float64, 0)
 	for j := 0; j < n; j++ {
@@ -281,54 +267,32 @@ func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*R
 			coef = append(coef, v)
 		}
 	}
-	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
+	return packResultDict(d, support, coef, y, sol.Iterations)
 }
 
-// FixedSupportOLS solves for the coefficients on a known support J with
+// FixedSupportOLSOp solves for the coefficients on a known support J with
 // ordinary least squares — the paper's Eq. (11), appropriate for
-// homogeneous sensors. Requires len(locs) ≥ len(support).
-func FixedSupportOLS(phi *mat.Matrix, locs []int, y []float64, support []int) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, nil)
-}
-
-// FixedSupportOLSOp is FixedSupportOLS through a matrix-free operator: the
-// M×|J| design matrix is assembled column by column via scatter/gather
-// applies — Φ is never materialized or sliced densely.
+// homogeneous sensors. Requires len(locs) ≥ len(support). On a matrix-free
+// operator the M×|J| design matrix is assembled column by column via
+// scatter/gather applies — Φ is never materialized or sliced densely.
 func FixedSupportOLSOp(op basis.Operator, locs []int, y []float64, support []int) (*Result, error) {
-	d, err := dictFor(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, nil)
+	return fixedSupport(op, locs, y, support, nil)
 }
 
-// FixedSupportGLS solves for the coefficients on a known support with
+// FixedSupportGLSOp solves for the coefficients on a known support with
 // generalized least squares under sensor-noise covariance V — the paper's
 // Eq. (12), for heterogeneous sensors. V is M×M (ordered like locs).
-func FixedSupportGLS(phi *mat.Matrix, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, v)
+func FixedSupportGLSOp(op basis.Operator, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
+	return fixedSupport(op, locs, y, support, v)
 }
 
-// FixedSupportGLSOp is FixedSupportGLS through a matrix-free operator.
-func FixedSupportGLSOp(op basis.Operator, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
+// fixedSupport is the shared Eq. (11)/(12) core: v == nil selects OLS,
+// otherwise GLS under covariance v.
+func fixedSupport(op basis.Operator, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return fixedSupportDict(d, y, support, v)
-}
-
-// fixedSupportDict is the shared Eq. (11)/(12) core: v == nil selects OLS,
-// otherwise GLS under covariance v.
-func fixedSupportDict(d dict, y []float64, support []int, v *mat.Matrix) (*Result, error) {
 	if err := checkSupport(support, d.cols()); err != nil {
 		return nil, err
 	}
@@ -337,7 +301,6 @@ func fixedSupportDict(d dict, y []float64, support []int, v *mat.Matrix) (*Resul
 		return nil, err
 	}
 	var coef []float64
-	var err error
 	if v == nil {
 		coef, err = mat.LeastSquares(sub, y)
 	} else {
@@ -423,26 +386,13 @@ func NoiseCovariance(sigmas []float64, minSigma float64) *mat.Matrix {
 	return mat.Diag(d)
 }
 
-// ChooseKCrossVal picks the sparsity K that minimizes held-out measurement
-// error: it splits the measurements into a training and validation set,
-// runs OMP at each K in [1, kMax], and returns the K whose reconstruction
-// best predicts the held-out sensors. This automates the paper's "pick an
-// optimal K such that the total error ε is minimal" guidance without
-// needing ground truth.
-func ChooseKCrossVal(phi *mat.Matrix, locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
-	return chooseKCore(func(l []int, yy []float64, k int) (*Result, error) {
-		return OMP(phi, l, yy, k, 0)
-	}, locs, y, kMax, holdout, rng)
-}
-
-// ChooseKCrossValOp is ChooseKCrossVal through a matrix-free operator.
+// ChooseKCrossValOp picks the sparsity K that minimizes held-out
+// measurement error: it splits the measurements into a training and
+// validation set, runs OMP at each K in [1, kMax], and returns the K whose
+// reconstruction best predicts the held-out sensors. This automates the
+// paper's "pick an optimal K such that the total error ε is minimal"
+// guidance without needing ground truth.
 func ChooseKCrossValOp(op basis.Operator, locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
-	return chooseKCore(func(l []int, yy []float64, k int) (*Result, error) {
-		return OMPOp(op, l, yy, k, 0)
-	}, locs, y, kMax, holdout, rng)
-}
-
-func chooseKCore(decode func(locs []int, y []float64, k int) (*Result, error), locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
 	m := len(locs)
 	if m < 4 {
 		return 0, errors.New("cs: too few measurements for cross-validation")
@@ -466,7 +416,7 @@ func chooseKCore(decode func(locs []int, y []float64, k int) (*Result, error), l
 		kMax = len(trLocs)
 	}
 	for k := 1; k <= kMax; k++ {
-		res, err := decode(trLocs, trY, k)
+		res, err := OMPOp(op, trLocs, trY, k, 0)
 		if err != nil {
 			continue
 		}

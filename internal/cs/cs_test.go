@@ -10,6 +10,15 @@ import (
 	"repro/internal/mat"
 )
 
+// dense wraps an explicit basis matrix as the dense reference operator.
+func dense(phi *mat.Matrix) basis.Operator {
+	op, err := basis.FromMatrix(phi)
+	if err != nil {
+		panic(err)
+	}
+	return op
+}
+
 // sparseSignal builds an exactly k-sparse signal in the given basis and
 // returns the signal, coefficients, and support.
 func sparseSignal(rng *rand.Rand, phi *mat.Matrix, k int) ([]float64, []float64, []int) {
@@ -39,7 +48,7 @@ func TestOMPExactRecoveryNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OMP(phi, locs, y, 4, 1e-12)
+	res, err := OMPOp(dense(phi), locs, y, 4, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
 	y, _ := Measure(x, locs, rng, []float64{0.02})
-	res, err := OMP(phi, locs, y, 5, 0)
+	res, err := OMPOp(dense(phi), locs, y, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +80,17 @@ func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 
 func TestOMPErrorsAndEdgeCases(t *testing.T) {
 	phi := basis.DCT(16)
-	if _, err := OMP(phi, nil, nil, 3, 0); err != ErrNoMeasurements {
+	if _, err := OMPOp(dense(phi), nil, nil, 3, 0); err != ErrNoMeasurements {
 		t.Fatalf("err=%v, want ErrNoMeasurements", err)
 	}
-	if _, err := OMP(phi, []int{1, 2}, []float64{1}, 3, 0); err == nil {
+	if _, err := OMPOp(dense(phi), []int{1, 2}, []float64{1}, 3, 0); err == nil {
 		t.Fatal("want measurement length error")
 	}
-	if _, err := OMP(phi, []int{1, 2}, []float64{1, 2}, 0, 0); err == nil {
+	if _, err := OMPOp(dense(phi), []int{1, 2}, []float64{1, 2}, 0, 0); err == nil {
 		t.Fatal("want sparsity error")
 	}
 	// Zero measurements → zero reconstruction.
-	res, err := OMP(phi, []int{1, 2, 3}, []float64{0, 0, 0}, 2, 1e-9)
+	res, err := OMPOp(dense(phi), []int{1, 2, 3}, []float64{0, 0, 0}, 2, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestOMPSupportCappedByMeasurements(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 32, 6)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := OMP(phi, locs, y, 20, 0) // ask for more atoms than measurements
+	res, err := OMPOp(dense(phi), locs, y, 20, 0) // ask for more atoms than measurements
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestBasisPursuitExactRecovery(t *testing.T) {
 	x, alpha, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BasisPursuit(phi, locs, y, 1e-7)
+	res, err := BasisPursuit(dense(phi), locs, y, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +138,11 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	bp, err := BasisPursuit(phi, locs, y, 1e-7)
+	bp, err := BasisPursuit(dense(phi), locs, y, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	omp, err := OMP(phi, locs, y, 2, 1e-12)
+	omp, err := OMPOp(dense(phi), locs, y, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestFixedSupportOLSExact(t *testing.T) {
 	x, alpha, support := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 48, 15)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := FixedSupportOLS(phi, locs, y, support)
+	res, err := FixedSupportOLSOp(dense(phi), locs, y, support)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +170,10 @@ func TestFixedSupportBadSupport(t *testing.T) {
 	phi := basis.DCT(8)
 	locs := []int{0, 1, 2, 3}
 	y := []float64{1, 2, 3, 4}
-	if _, err := FixedSupportOLS(phi, locs, y, []int{9}); err == nil {
+	if _, err := FixedSupportOLSOp(dense(phi), locs, y, []int{9}); err == nil {
 		t.Fatal("want range error")
 	}
-	if _, err := FixedSupportOLS(phi, locs, y, []int{1, 1}); err == nil {
+	if _, err := FixedSupportOLSOp(dense(phi), locs, y, []int{1, 1}); err == nil {
 		t.Fatal("want duplicate error")
 	}
 }
@@ -188,11 +197,11 @@ func TestGLSBeatsOLSUnderHeterogeneousNoise(t *testing.T) {
 		}
 		y, _ := Measure(x, locs, rng, sigmas)
 		v := NoiseCovariance(sigmas, 1e-6)
-		gls, err := FixedSupportGLS(phi, locs, y, support, v)
+		gls, err := FixedSupportGLSOp(dense(phi), locs, y, support, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ols, err := FixedSupportOLS(phi, locs, y, support)
+		ols, err := FixedSupportOLSOp(dense(phi), locs, y, support)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +220,7 @@ func TestCHSRecoversSparseSignal(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 24)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CHS(phi, locs, y, CHSOptions{Tol: 1e-10})
+	res, err := CHSOp(dense(phi), locs, y, CHSOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestCHSWithGLSUnderNoise(t *testing.T) {
 		sigmas[i] = 0.02 + 0.3*float64(i%2)
 	}
 	y, _ := Measure(x, locs, rng, sigmas)
-	res, err := CHS(phi, locs, y, CHSOptions{
+	res, err := CHSOp(dense(phi), locs, y, CHSOptions{
 		Tol: 1e-6, MaxSupport: 4, V: NoiseCovariance(sigmas, 1e-6),
 	})
 	if err != nil {
@@ -250,7 +259,7 @@ func TestCHSPerIterBatching(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 6)
 	locs, _ := RandomLocations(rng, 64, 30)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CHS(phi, locs, y, CHSOptions{PerIter: 3, Tol: 1e-10})
+	res, err := CHSOp(dense(phi), locs, y, CHSOptions{PerIter: 3, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestCHSPerIterBatching(t *testing.T) {
 
 func TestCHSZeroSignal(t *testing.T) {
 	phi := basis.DCT(16)
-	res, err := CHS(phi, []int{0, 5, 9}, []float64{0, 0, 0}, CHSOptions{Tol: 1e-9})
+	res, err := CHSOp(dense(phi), []int{0, 5, 9}, []float64{0, 0, 0}, CHSOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +412,7 @@ func TestDiagnose(t *testing.T) {
 	locs, _ := RandomLocations(rng, 64, 24)
 	sigmas := []float64{0.01}
 	y, _ := Measure(x, locs, rng, sigmas)
-	res, err := OMP(phi, locs, y, 4, 0)
+	res, err := OMPOp(dense(phi), locs, y, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,14 +443,14 @@ func TestChooseKCrossVal(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 32)
 	y, _ := Measure(x, locs, rng, []float64{0.01})
-	k, err := ChooseKCrossVal(phi, locs, y, 12, 0.25, rng)
+	k, err := ChooseKCrossValOp(dense(phi), locs, y, 12, 0.25, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k < 3 || k > 7 {
 		t.Fatalf("cross-validated K=%d, want near 4", k)
 	}
-	if _, err := ChooseKCrossVal(phi, locs[:2], y[:2], 4, 0.25, rng); err == nil {
+	if _, err := ChooseKCrossValOp(dense(phi), locs[:2], y[:2], 4, 0.25, rng); err == nil {
 		t.Fatal("want too-few-measurements error")
 	}
 }
@@ -465,7 +474,7 @@ func TestRecoveryProbability(t *testing.T) {
 		x, _, _ := sparseSignal(rng, phi, 4)
 		locs, _ := RandomLocations(rng, 64, 24)
 		y, _ := Measure(x, locs, rng, nil)
-		res, err := OMP(phi, locs, y, 4, 1e-12)
+		res, err := OMPOp(dense(phi), locs, y, 4, 1e-12)
 		if err != nil {
 			continue
 		}
@@ -495,7 +504,7 @@ func TestPropResultInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := OMP(phi, locs, y, k, 0)
+		res, err := OMPOp(dense(phi), locs, y, k, 0)
 		if err != nil {
 			return false
 		}
@@ -527,10 +536,11 @@ func BenchmarkOMP256M30(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 30)
 	y, _ := Measure(x, locs, rng, nil)
+	op := dense(phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OMP(phi, locs, y, 8, 1e-12); err != nil {
+		if _, err := OMPOp(op, locs, y, 8, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -542,10 +552,11 @@ func BenchmarkBasisPursuit32(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
+	op := dense(phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BasisPursuit(phi, locs, y, 1e-7); err != nil {
+		if _, err := BasisPursuit(op, locs, y, 1e-7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,10 +568,11 @@ func BenchmarkCHS256(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 40)
 	y, _ := Measure(x, locs, rng, nil)
+	op := dense(phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CHS(phi, locs, y, CHSOptions{Tol: 1e-10}); err != nil {
+		if _, err := CHSOp(op, locs, y, CHSOptions{Tol: 1e-10}); err != nil {
 			b.Fatal(err)
 		}
 	}

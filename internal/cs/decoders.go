@@ -24,30 +24,17 @@ type IHTOptions struct {
 	Tol      float64 // stop when residual norm change < Tol (default 1e-9)
 }
 
-// IHT recovers a K-sparse coefficient vector by projected gradient
+// IHTOp recovers a K-sparse coefficient vector by projected gradient
 // descent: α ← H_K(α + µ·Φ̃ᵀ(y − Φ̃α)), where H_K keeps the K largest
 // magnitudes. Slower to converge than OMP but a single matrix-vector pair
-// per iteration and very robust to coherent dictionaries.
-func IHT(phi *mat.Matrix, locs []int, y []float64, opts IHTOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return ihtDict(d, y, opts)
-}
-
-// IHTOp is IHT through a matrix-free basis operator: the per-iteration
-// matrix-vector pair (predict, correlate) becomes one synthesis and one
-// analysis at O(n log n).
+// per iteration and very robust to coherent dictionaries. On a
+// matrix-free operator that pair (predict, correlate) is one synthesis and
+// one analysis at O(n log n).
 func IHTOp(op basis.Operator, locs []int, y []float64, opts IHTOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return ihtDict(d, y, opts)
-}
-
-func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 	m, n := d.rows(), d.cols()
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
@@ -155,27 +142,14 @@ type CoSaMPOptions struct {
 	Tol     float64
 }
 
-// CoSaMP (Needell & Tropp) recovers a K-sparse vector by repeatedly
+// CoSaMPOp (Needell & Tropp) recovers a K-sparse vector by repeatedly
 // merging the 2K strongest residual correlations into the support, solving
 // least squares, and pruning back to K.
-func CoSaMP(phi *mat.Matrix, locs []int, y []float64, opts CoSaMPOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return cosampDict(d, y, opts)
-}
-
-// CoSaMPOp is CoSaMP through a matrix-free basis operator.
 func CoSaMPOp(op basis.Operator, locs []int, y []float64, opts CoSaMPOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return cosampDict(d, y, opts)
-}
-
-func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 	m, n := d.rows(), d.cols()
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
@@ -288,21 +262,18 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 // measurement (an L∞ fidelity box, which keeps the problem a plain LP).
 // Standard form uses α = u − v and slack s: Φ̃(u−v) + s = y + eps,
 // 0 ≤ s ≤ 2·eps, encoded with an extra slack pair.
-func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Result, error) {
+func BPDN(op basis.Operator, locs []int, y []float64, eps, zeroTol float64) (*Result, error) {
 	if eps < 0 {
 		return nil, errors.New("cs: BPDN needs eps >= 0")
 	}
 	if eps == 0 {
-		return BasisPursuit(phi, locs, y, zeroTol)
+		return BasisPursuit(op, locs, y, zeroTol)
 	}
-	a, err := sensingMatrix(phi, locs)
+	d, a, err := lpSystem(op, locs, y)
 	if err != nil {
 		return nil, err
 	}
 	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
-	}
 	// Variables: u(n), v(n), s(m), t(m) with
 	//   Φ̃(u−v) + s           = y + eps        (upper bound)
 	//   s + t                 = 2·eps          (s ≤ 2eps)
@@ -334,16 +305,7 @@ func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("cs: BPDN LP failed: %w", err)
 	}
-	support := make([]int, 0)
-	coef := make([]float64, 0)
-	for j := 0; j < n; j++ {
-		v := sol.X[j] - sol.X[n+j]
-		if math.Abs(v) > zeroTol {
-			support = append(support, j)
-			coef = append(coef, v)
-		}
-	}
-	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
+	return lpResult(d, sol, y, zeroTol)
 }
 
 // --- helpers -------------------------------------------------------------------

@@ -16,7 +16,7 @@ func TestIHTExactRecovery(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 28)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := IHT(phi, locs, y, IHTOptions{K: 4})
+	res, err := IHTOp(dense(phi), locs, y, IHTOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +30,13 @@ func TestIHTExactRecovery(t *testing.T) {
 
 func TestIHTValidation(t *testing.T) {
 	phi := basis.DCT(16)
-	if _, err := IHT(phi, []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
+	if _, err := IHTOp(dense(phi), []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
 		t.Fatal("want K error")
 	}
-	if _, err := IHT(phi, []int{1}, []float64{1, 2}, IHTOptions{K: 1}); err == nil {
+	if _, err := IHTOp(dense(phi), []int{1}, []float64{1, 2}, IHTOptions{K: 1}); err == nil {
 		t.Fatal("want length error")
 	}
-	if _, err := IHT(phi, nil, nil, IHTOptions{K: 1}); err == nil {
+	if _, err := IHTOp(dense(phi), nil, nil, IHTOptions{K: 1}); err == nil {
 		t.Fatal("want measurements error")
 	}
 }
@@ -47,7 +47,7 @@ func TestCoSaMPExactRecovery(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 30)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 4})
+	res, err := CoSaMPOp(dense(phi), locs, y, CoSaMPOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,14 @@ func TestCoSaMPClampsK(t *testing.T) {
 	locs, _ := RandomLocations(rng, 32, 9)
 	y, _ := Measure(x, locs, rng, nil)
 	// 3K > m forces an internal clamp rather than an error.
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 8})
+	res, err := CoSaMPOp(dense(phi), locs, y, CoSaMPOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Support) > 3 {
 		t.Fatalf("clamped support %d", len(res.Support))
 	}
-	if _, err := CoSaMP(phi, locs, y, CoSaMPOptions{}); err == nil {
+	if _, err := CoSaMPOp(dense(phi), locs, y, CoSaMPOptions{}); err == nil {
 		t.Fatal("want K error")
 	}
 }
@@ -81,7 +81,7 @@ func TestCoSaMPNoisyComparable(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
 	y, _ := Measure(x, locs, rng, []float64{0.02})
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 5})
+	res, err := CoSaMPOp(dense(phi), locs, y, CoSaMPOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBPDNToleratesNoise(t *testing.T) {
 	sigma := 0.05
 	y, _ := Measure(x, locs, rng, []float64{sigma})
 	eps := 2 * sigma
-	res, err := BPDN(phi, locs, y, eps, 1e-6)
+	res, err := BPDN(dense(phi), locs, y, eps, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BPDN(phi, locs, y, 0, 1e-7)
+	res, err := BPDN(dense(phi), locs, y, 0, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 1e-8 {
 		t.Fatalf("BPDN(eps=0) NMSE %v", nm)
 	}
-	if _, err := BPDN(phi, locs, y, -1, 1e-7); err == nil {
+	if _, err := BPDN(dense(phi), locs, y, -1, 1e-7); err == nil {
 		t.Fatal("want eps error")
 	}
 }
@@ -139,15 +139,15 @@ func TestDecodersAgreeOnEasyProblem(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 48, 24)
 	y, _ := Measure(x, locs, rng, nil)
-	omp, err := OMP(phi, locs, y, 3, 1e-12)
+	omp, err := OMPOp(dense(phi), locs, y, 3, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iht, err := IHT(phi, locs, y, IHTOptions{K: 3})
+	iht, err := IHTOp(dense(phi), locs, y, IHTOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosamp, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 3})
+	cosamp, err := CoSaMPOp(dense(phi), locs, y, CoSaMPOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +264,14 @@ func TestOMPCentered(t *testing.T) {
 	x := mat.AddVec(mu, dev)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := OMPCentered(phi, locs, y, mu, 2, 1e-10)
+	res, err := OMPCenteredOp(dense(phi), locs, y, mu, 2, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 1e-10 {
 		t.Fatalf("centered NMSE %v", nm)
 	}
-	if _, err := OMPCentered(phi, locs, y, mu[:3], 2, 0); err == nil {
+	if _, err := OMPCenteredOp(dense(phi), locs, y, mu[:3], 2, 0); err == nil {
 		t.Fatal("want mean-length error")
 	}
 }
@@ -282,10 +282,11 @@ func BenchmarkIHT256(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
 	y, _ := Measure(x, locs, rng, nil)
+	op := dense(phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IHT(phi, locs, y, IHTOptions{K: 8}); err != nil {
+		if _, err := IHTOp(op, locs, y, IHTOptions{K: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,10 +298,11 @@ func BenchmarkCoSaMP256(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
 	y, _ := Measure(x, locs, rng, nil)
+	op := dense(phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 8}); err != nil {
+		if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,14 @@
 package cs
 
-// The decoders are written against a sensing dictionary abstraction so the
-// same greedy cores serve two execution paths:
+// Every decoder runs against a sensing dictionary abstraction, so the same
+// greedy cores serve both kinds of basis.Operator:
 //
-//   - denseDict: the reference path. Φ and Φ̃ = Φ(L,:) are explicit
-//     matrices and every operation delegates to the exact mat kernels the
-//     decoders called before the abstraction existed, in the same order —
-//     the dense path stays bit-identical decode for decode.
+//   - denseDict: the reference path, taken for a *basis.MatrixOp (learned
+//     bases, non-dyadic fallbacks, or any explicit matrix wrapped with
+//     basis.FromMatrix). Φ and Φ̃ = Φ(L,:) are explicit square-basis
+//     matrices and every operation delegates to the exact mat kernels, in
+//     a fixed order — TestDenseReferenceGolden pins its decodes bit for
+//     bit.
 //   - opDict: the matrix-free fast path. Φ is a basis.Operator and Φ̃ is
 //     applied by scatter/gather around Apply/ApplyTranspose: a correlation
 //     Φ̃ᵀr scatters the M residual values onto the full grid and runs one
@@ -29,14 +31,12 @@ import (
 	"repro/internal/mat"
 )
 
-// dict is the sensing dictionary Φ̃ = Φ(L,:) together with the full basis
-// Φ it was sampled from. m is the measurement count, n the coefficient
-// count, and signalDim the full signal length N (== n for the square
-// orthonormal operators; dense matrices may be rectangular).
+// dict is the sensing dictionary Φ̃ = Φ(L,:) together with the full n×n
+// basis Φ it was sampled from. m is the measurement count and n the
+// coefficient count, which is also the signal length.
 type dict interface {
 	rows() int
 	cols() int
-	signalDim() int
 	// corrT computes dst = Φ̃ᵀ r (length n) from a residual at the sensors.
 	corrT(dst, r []float64) error
 	// col extracts dst = Φ̃ e_j (length m), the j-th dictionary column.
@@ -60,39 +60,40 @@ type dict interface {
 }
 
 // dictFor builds the decode dictionary for an operator at the given sensor
-// locations. A *basis.MatrixOp routes to the dense reference dictionary so
-// matrix-backed operators (learned bases, non-dyadic fallbacks) decode
-// bit-identically to the historical dense entry points.
+// locations. A *basis.MatrixOp routes to the dense reference dictionary.
 func dictFor(op basis.Operator, locs []int) (dict, error) {
-	if mo, ok := op.(*basis.MatrixOp); ok {
-		return denseDictFor(mo.Matrix(), locs)
+	mo, ok := op.(*basis.MatrixOp)
+	if !ok {
+		// Everything else — including a Separable2D over dense factors —
+		// runs matrix-free: applying the factors costs O(n·(h+w)) against
+		// the Kron product's O(n²).
+		return newOpDict(op, locs)
 	}
-	// Everything else — including a Separable2D over dense factors — runs
-	// matrix-free: applying the factors costs O(n·(h+w)) against the Kron
-	// product's O(n²).
-	return newOpDict(op, locs)
-}
-
-// denseDictFor builds the reference dictionary: Φ̃ gathered once through
-// the memoized sensingMatrix path.
-func denseDictFor(phi *mat.Matrix, locs []int) (dict, error) {
-	a, err := sensingMatrix(phi, locs)
+	a, err := sensingMatrix(mo.Matrix(), locs)
 	if err != nil {
 		return nil, err
 	}
-	return &denseDict{phi: phi, a: a}, nil
+	return &denseDict{phi: mo.Matrix(), a: a}, nil
+}
+
+// sensingMatrix returns Φ̃ = Φ(L,:), the M×N matrix of basis rows at the
+// sensor locations (paper Eq. 7 before column selection).
+func sensingMatrix(phi *mat.Matrix, locs []int) (*mat.Matrix, error) {
+	if len(locs) == 0 {
+		return nil, ErrNoMeasurements
+	}
+	return mat.SelectRows(phi, locs)
 }
 
 // --- dense reference path ------------------------------------------------------
 
 type denseDict struct {
-	phi *mat.Matrix // full basis, N×n
+	phi *mat.Matrix // full basis, n×n
 	a   *mat.Matrix // sensing matrix Φ(L,:), m×n
 }
 
-func (d *denseDict) rows() int      { return d.a.Rows }
-func (d *denseDict) cols() int      { return d.a.Cols }
-func (d *denseDict) signalDim() int { return d.phi.Rows }
+func (d *denseDict) rows() int { return d.a.Rows }
+func (d *denseDict) cols() int { return d.a.Cols }
 
 func (d *denseDict) corrT(dst, r []float64) error {
 	return mat.MulTVecInto(dst, d.a, r)
@@ -202,9 +203,8 @@ func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
 	}, nil
 }
 
-func (d *opDict) rows() int      { return len(d.locs) }
-func (d *opDict) cols() int      { return d.n }
-func (d *opDict) signalDim() int { return d.n }
+func (d *opDict) rows() int { return len(d.locs) }
+func (d *opDict) cols() int { return d.n }
 
 // corrT scatters the residual onto the grid (zeros elsewhere — the ZeroFill
 // embedding, under which Φ̃ᵀr = Φᵀ(scatter r)) and runs one analysis.
@@ -395,6 +395,6 @@ func packResultDict(d dict, support []int, coef, y []float64, iters int) (*Resul
 func zeroResult(d dict, y []float64, iters int) *Result {
 	return &Result{
 		Alpha: make([]float64, d.cols()), Support: nil,
-		Xhat: make([]float64, d.signalDim()), Residual: mat.Norm2(y), Iterations: iters,
+		Xhat: make([]float64, d.cols()), Residual: mat.Norm2(y), Iterations: iters,
 	}
 }

@@ -5,19 +5,21 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/basis"
 	"repro/internal/mat"
 )
 
 // The decode fuzz targets feed the sparse decoders adversarial numerics:
-// NaN, ±Inf, denormals, rank-deficient and zero matrices, out-of-range
-// sensor locations, and invalid sparsity levels. The contract under test
-// is "error, never panic" — a broker decoding hostile or corrupt sensor
-// data must stay up — plus the structural invariants of any Result that
-// is returned.
+// NaN, ±Inf, denormals, rank-deficient and zero matrices (wrapped as
+// dense operators), out-of-range sensor locations, and invalid sparsity
+// levels. The contract under test is "error, never panic" — a broker
+// decoding hostile or corrupt sensor data must stay up — plus the
+// structural invariants of any Result that is returned.
 
 // fuzzProblem is a tiny decode problem derived from raw fuzz bytes.
 type fuzzProblem struct {
 	phi  *mat.Matrix
+	op   basis.Operator
 	locs []int
 	y    []float64
 	k    int
@@ -32,8 +34,9 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 	if len(data) < 4 {
 		return fuzzProblem{}, false
 	}
-	n := 1 + int(data[0]%8)  // signal length (basis rows)
-	c := 1 + int(data[1]%8)  // basis columns
+	// Byte 1 is skipped: operators are square, and skipping (rather than
+	// dropping) it keeps the committed corpora's byte layout.
+	n := 1 + int(data[0]%8)  // signal length (basis rows and columns)
 	m := 1 + int(data[2]%8)  // measurement count
 	k := int(data[3]%10) - 1 // -1..8: k <= 0 must error, not panic
 	data = data[4:]
@@ -50,7 +53,7 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 		}
 		return 0
 	}
-	phi := mat.New(n, c)
+	phi := mat.New(n, n)
 	for i := range phi.Data {
 		phi.Data[i] = next()
 	}
@@ -67,7 +70,11 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 	for i := range y {
 		y[i] = next()
 	}
-	return fuzzProblem{phi: phi, locs: locs, y: y, k: k}, true
+	op, err := basis.FromMatrix(phi)
+	if err != nil {
+		panic(err)
+	}
+	return fuzzProblem{phi: phi, op: op, locs: locs, y: y, k: k}, true
 }
 
 // checkResult asserts the structural invariants every successful decode
@@ -115,7 +122,7 @@ func FuzzDecodeOMP(f *testing.F) {
 		if !ok {
 			return
 		}
-		res, err := OMP(p.phi, p.locs, p.y, p.k, 1e-9)
+		res, err := OMPOp(p.op, p.locs, p.y, p.k, 1e-9)
 		if err != nil {
 			return
 		}
@@ -137,7 +144,7 @@ func FuzzDecodeIHT(f *testing.F) {
 		if !ok {
 			return
 		}
-		res, err := IHT(p.phi, p.locs, p.y, IHTOptions{K: p.k, MaxIter: 50})
+		res, err := IHTOp(p.op, p.locs, p.y, IHTOptions{K: p.k, MaxIter: 50})
 		if err != nil {
 			return
 		}

@@ -113,12 +113,12 @@ func TestWarmStartCHSDenseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CHSOptions{MaxSupport: 8, Tol: 1e-10}
-	cold, err := CHS(phi, locs, y, opts)
+	cold, err := CHSOp(dense(phi), locs, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.SeedSupport = cold.Support
-	warm, err := CHS(phi, locs, y, opts)
+	warm, err := CHSOp(dense(phi), locs, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func DefaultA2() A2Config {
 // ε is minimal." The workload is compressible (not exactly sparse) with
 // measurement noise, so both effects are active.
 func A2(cfg A2Config) (*Table, error) {
-	phi := basis.CachedDCT(cfg.N)
+	phi := basis.DCT(cfg.N)
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
 		return nil, err

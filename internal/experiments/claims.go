@@ -120,7 +120,7 @@ func C2(cfg C2Config) (*Table, error) {
 		Header: []string{"N", "K", "M-min", "K*lnN", "c = M/(K*lnN)"},
 	}
 	for _, n := range cfg.Ns {
-		phi := basis.CachedDCT(n)
+		phi := basis.DCT(n)
 		op, err := basis.CachedOperator(basis.KindDCT, n)
 		if err != nil {
 			return nil, err

@@ -403,7 +403,7 @@ func DefaultFig6() Fig6Config { return Fig6Config{N: 256, M: 64, K: 8, Trials: 1
 // OLS-vs-GLS step (e) comparison under heterogeneous sensor noise.
 func Fig6(cfg Fig6Config) (*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	phi := basis.CachedDCT(cfg.N)
+	phi := basis.DCT(cfg.N)
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
 		return nil, err

@@ -79,6 +79,7 @@ go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 3s ./internal/lint
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 3s ./internal/query
 go test -run '^$' -fuzz '^FuzzDeliverBatch$' -fuzztime 3s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzDecodeSample$' -fuzztime 3s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzServeParams$' -fuzztime 3s ./cmd/sensedroid-serve
 
 echo "== go test -race =="
 GOMAXPROCS="${GOMAXPROCS:-4}" go test -race ./...
