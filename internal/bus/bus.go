@@ -146,22 +146,41 @@ func ValidPattern(pattern string) bool {
 // Match reports whether a concrete topic matches a pattern. "+" matches
 // exactly one segment; a trailing "#" matches any remainder (including
 // none).
+//
+// It walks both strings one segment at a time with strings.IndexByte, so
+// it allocates nothing: it runs for every subscription on every publish.
+// The result equals the segment-list definition — split both on "/",
+// then compare position by position — for every input, valid or not.
 func Match(pattern, topic string) bool {
-	ps := strings.Split(pattern, "/")
-	ts := strings.Split(topic, "/")
-	i := 0
-	for ; i < len(ps); i++ {
-		if ps[i] == "#" {
-			return true
+	topicDone := false // every topic segment has been consumed
+	for {
+		p, pRest, pMore := nextSegment(pattern)
+		if p == "#" {
+			return true // checked first: "a/#" matches "a" itself
 		}
-		if i >= len(ts) {
+		if topicDone {
 			return false
 		}
-		if ps[i] != "+" && ps[i] != ts[i] {
+		t, tRest, tMore := nextSegment(topic)
+		topicDone = !tMore
+		if p != "+" && p != t {
 			return false
 		}
+		if !pMore {
+			return topicDone
+		}
+		pattern, topic = pRest, tRest
 	}
-	return i == len(ts)
+}
+
+// nextSegment splits s at its first "/": the leading segment, the rest
+// after the separator, and whether a separator was found.
+func nextSegment(s string) (seg, rest string, more bool) {
+	i := strings.IndexByte(s, '/')
+	if i < 0 {
+		return s, "", false
+	}
+	return s[:i], s[i+1:], true
 }
 
 // Subscribe registers interest in a pattern with the given channel buffer

@@ -407,3 +407,44 @@ func TestSubscribeFunc(t *testing.T) {
 		t.Fatal("want pattern error")
 	}
 }
+
+// Match runs for every subscription on every publish, so it must not
+// allocate.
+func TestMatchAllocatesNothing(t *testing.T) {
+	cases := [][2]string{
+		{"a/b/c", "a/b/c"}, {"a/+/c", "a/b/c"}, {"a/#", "a"},
+		{"nc0/node/+/measure", "nc0/node/n3/measure"}, {"a/b", "a/b/c"},
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range cases {
+			Match(c[0], c[1])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Match allocates %v times per run, want 0", allocs)
+	}
+}
+
+// Match must equal the segment-list definition on every input, valid or
+// not: every pattern and topic of up to four symbols over {a, b, /, +, #}.
+func TestMatchEqualsSplitDefinition(t *testing.T) {
+	var strs []string
+	var grow func(s string)
+	grow = func(s string) {
+		strs = append(strs, s)
+		if len(s) == 4 {
+			return
+		}
+		for _, c := range "ab/+#" {
+			grow(s + string(c))
+		}
+	}
+	grow("")
+	for _, p := range strs {
+		for _, tp := range strs {
+			if got, want := Match(p, tp), refMatch(p, tp); got != want {
+				t.Fatalf("Match(%q, %q) = %v, split definition = %v", p, tp, got, want)
+			}
+		}
+	}
+}

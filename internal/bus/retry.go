@@ -73,7 +73,7 @@ func IsRetryable(err error) bool {
 // The final error wraps the last attempt's failure.
 func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) error {
 	pol = pol.withDefaults()
-	rng := rand.New(rand.NewSource(pol.Seed))
+	var rng *rand.Rand // seeded on the first backoff: most calls never retry
 	var err error
 	attempt := 0
 	for attempt < pol.Attempts {
@@ -96,6 +96,9 @@ func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out an
 		}
 		// Deterministic jitter in [backoff/2, backoff]: seeded, so a replay
 		// with the same policy walks the same schedule.
+		if rng == nil {
+			rng = rand.New(rand.NewSource(pol.Seed))
+		}
 		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
 		timer := time.NewTimer(delay)
 		select {

@@ -84,14 +84,9 @@ type CHSOptions struct {
 // that makes 1024² broker reconstructions feasible (the dense Φ there
 // would be ~8 TB).
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
-	d, err := dictFor(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	if len(y) != d.rows() {
+	if len(y) != len(locs) {
 		return nil, errors.New("cs: measurement/location length mismatch")
 	}
-	n := d.cols()
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 32
 	}
@@ -101,6 +96,12 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	if opts.MaxSupport <= 0 || opts.MaxSupport > len(locs) {
 		opts.MaxSupport = len(locs)
 	}
+	ws, d, err := acquireWorkspace(op, locs, opts.MaxSupport)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseWorkspace(ws)
+	n := d.cols()
 	// Under the default ZeroFill interpolation, steps (a)+(b) compose to
 	// exactly Φ̃ᵀe_r — one scatter+analysis with no interpolant allocation.
 	// The fused path is taken only on the matrix-free dictionary (where it
@@ -110,7 +111,7 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	// bit for bit (TestDenseReferenceGolden). Duplicate sensor
 	// locations disable it: corrT accumulates where ZeroFill overwrites.
 	od, fused := d.(*opDict)
-	fused = fused && opts.Interp == nil && !hasDuplicateLocs(locs)
+	fused = fused && opts.Interp == nil && distinct(locs, n, ws.mark)
 	if opts.Interp == nil {
 		opts.Interp = ZeroFill(d.cols())
 	}
@@ -120,16 +121,11 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	// folded in with a rank-1 update and the sensor residual is deflated in
 	// O(M), instead of copying Φ̃_J and refactorizing from scratch every
 	// iteration. Coefficients are materialized once, after the loop.
-	resid := mat.CloneVec(y)
+	qr, resid, inSupport := ws.qr, ws.resid, ws.inSupport
+	copy(resid, y)
 	support := make([]int, 0, opts.MaxSupport)
-	inSupport := make([]bool, n)
-	qr, err := mat.NewIncrementalQR(d.rows(), opts.MaxSupport)
-	if err != nil {
-		return nil, err
-	}
 	eNew := make([]float64, 0)
-	alphaR := make([]float64, n)
-	col := make([]float64, d.rows())
+	alphaR, col := ws.corr, ws.col
 	iters := 0
 
 	// Warm start: fold the seed support into the factors before the first
@@ -137,9 +133,9 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	// measurements (residual under the seed tolerance, or the support cap
 	// already reached), the loop below exits immediately and the decode
 	// costs one residual check plus the final solve.
-	if validSeed(opts.SeedSupport, n, opts.MaxSupport) {
+	if validSeed(opts.SeedSupport, n, opts.MaxSupport, ws.mark) {
 		var ok bool
-		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, opts.SeedSupport)
+		support, ok, err = seedFactors(d, qr, resid, support, inSupport, opts.SeedSupport)
 		if err != nil {
 			return nil, err
 		}
@@ -147,10 +143,7 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 			ok = false // the field drifted past what the old support explains
 		}
 		if !ok {
-			qr, resid, support, err = coldRestart(d, y, opts.MaxSupport, support, inSupport)
-			if err != nil {
-				return nil, err
-			}
+			support = coldRestart(ws, y, support)
 		}
 	}
 
@@ -237,16 +230,4 @@ outer:
 		}
 	}
 	return packResultDict(d, support, coef, y, iters)
-}
-
-// hasDuplicateLocs reports whether any sensor location appears twice.
-func hasDuplicateLocs(locs []int) bool {
-	seen := make(map[int]struct{}, len(locs))
-	for _, l := range locs {
-		if _, ok := seen[l]; ok {
-			return true
-		}
-		seen[l] = struct{}{}
-	}
-	return false
 }

@@ -70,11 +70,7 @@ func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Res
 // one residual check plus the final solve and is bit-identical to the cold
 // decode. Invalid or rank-deficient seeds fall back to a cold start.
 func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	d, err := dictFor(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	m, n := d.rows(), d.cols()
+	m := len(locs)
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
 	}
@@ -84,31 +80,29 @@ func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64,
 	if k > m {
 		k = m // cannot identify more atoms than measurements
 	}
-	qr, err := mat.NewIncrementalQR(m, k)
+	ws, d, err := acquireWorkspace(op, locs, k)
 	if err != nil {
 		return nil, err
 	}
-	resid := mat.CloneVec(y)
-	corr := make([]float64, n)
-	col := make([]float64, m)
+	defer releaseWorkspace(ws)
+	n := d.cols()
+	qr, resid, inSupport := ws.qr, ws.resid, ws.inSupport
+	copy(resid, y)
+	corr, col := ws.corr, ws.col
 	support := make([]int, 0, k)
-	inSupport := make([]bool, n)
 	iters := 0
 	// Warm start: replay the seed's Append/Deflate sequence before the
 	// first correlation scan. A seed that fills the support (or already
 	// drives the residual under tol) skips the scans — and the column-norm
 	// pass below — entirely.
-	if validSeed(seed, n, k) {
+	if validSeed(seed, n, k, ws.mark) {
 		var ok bool
-		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, seed)
+		support, ok, err = seedFactors(d, qr, resid, support, inSupport, seed)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			qr, resid, support, err = coldRestart(d, y, k, support, inSupport)
-			if err != nil {
-				return nil, err
-			}
+			support = coldRestart(ws, y, support)
 		}
 	}
 	// Column norms for normalized correlation, computed lazily before the
@@ -120,7 +114,10 @@ func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64,
 			break
 		}
 		if colNorm == nil {
-			colNorm = make([]float64, n)
+			if ws.colNorm == nil {
+				ws.colNorm = make([]float64, n)
+			}
+			colNorm = ws.colNorm
 			if err := d.colNorms(colNorm); err != nil {
 				return nil, err
 			}

@@ -166,20 +166,20 @@ func (d *denseDict) residualSq(support []int, coef, y, _ []float64) float64 {
 // --- matrix-free path ----------------------------------------------------------
 
 type opDict struct {
-	op    basis.Operator
-	locs  []int
-	n     int
-	full  []float64 // length-n scatter buffer, kept all-zero between uses
-	out   []float64 // length-n transform output buffer
-	norms []float64 // lazily computed column norms (OMP only)
+	op   basis.Operator
+	locs []int
+	n    int
+	full []float64 // length-n scatter buffer, kept all-zero between uses
+	out  []float64 // length-n transform output buffer
 
-	// colJs/colBuf memoize gathered columns for the lifetime of one
-	// decode: the greedy decoders re-request every support column on each
-	// refit, so caching turns O(iters·|J|) synthesis transforms into one
-	// per distinct column. Support stays small (tens of atoms), so a
-	// linear scan over admission order beats a map — no hashing, no map
-	// allocation on the decode hot path. Entries are immutable once
-	// stored.
+	// colJs/colBuf memoize the columns subInto gathers, for the lifetime
+	// of one decode: the refitting decoders (IHT, CoSaMP, GLS) re-request
+	// every support column on each refit, so caching turns O(iters·|J|)
+	// synthesis transforms into one per distinct column. Support stays
+	// small (tens of atoms), so a linear scan over admission order beats
+	// a map — no hashing, no map allocation on the decode hot path.
+	// Entries are immutable for the decode; a pooled dictionary reuses
+	// their storage (past len, up to cap) in the next decode.
 	colJs  []int
 	colBuf [][]float64
 	// sepU/sepV hold the factor columns when op is a Separable2D.
@@ -187,20 +187,31 @@ type opDict struct {
 }
 
 func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
+	d := &opDict{}
+	if err := d.reset(op, locs); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// reset binds d to an operator and sensor locations, reusing its buffers
+// where they fit and reinitializing every one of them: the scratch
+// buffers are zeroed and the column memo emptied.
+func (d *opDict) reset(op basis.Operator, locs []int) error {
 	if len(locs) == 0 {
-		return nil, ErrNoMeasurements
+		return ErrNoMeasurements
 	}
 	n := op.Dim()
 	for _, l := range locs {
 		if l < 0 || l >= n {
-			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, n)
+			return fmt.Errorf("cs: location %d out of range [0,%d)", l, n)
 		}
 	}
-	return &opDict{
-		op: op, locs: locs, n: n,
-		full: make([]float64, n),
-		out:  make([]float64, n),
-	}, nil
+	d.op, d.locs, d.n = op, locs, n
+	d.full = zeroed(d.full, n)
+	d.out = zeroed(d.out, n)
+	d.colJs, d.colBuf = d.colJs[:0], d.colBuf[:0]
+	return nil
 }
 
 func (d *opDict) rows() int { return len(d.locs) }
@@ -220,13 +231,29 @@ func (d *opDict) corrT(dst, r []float64) error {
 	return nil
 }
 
-// col synthesizes basis vector j and gathers it at the sensors.
+// col writes the j-th dictionary column Φ̃ e_j straight into dst — a
+// memoized copy when subInto already gathered it, a fresh gather
+// otherwise (the greedy loops request each column once, so memoizing
+// here would only copy).
 func (d *opDict) col(dst []float64, j int) error {
-	c, err := d.gatherCol(j)
-	if err != nil {
-		return err
+	if j < 0 || j >= d.n {
+		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
 	}
-	copy(dst, c)
+	if c := d.memo(j); c != nil {
+		copy(dst, c)
+	} else {
+		d.gather(dst, j)
+	}
+	return nil
+}
+
+// memo returns the memoized column j, or nil.
+func (d *opDict) memo(j int) []float64 {
+	for s, cj := range d.colJs {
+		if cj == j {
+			return d.colBuf[s]
+		}
+	}
 	return nil
 }
 
@@ -235,31 +262,39 @@ func (d *opDict) gatherCol(j int) ([]float64, error) {
 	if j < 0 || j >= d.n {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
 	}
-	for s, cj := range d.colJs {
-		if cj == j {
-			return d.colBuf[s], nil
-		}
+	if c := d.memo(j); c != nil {
+		return c, nil
 	}
-	c := make([]float64, len(d.locs))
+	var c []float64
+	if s := len(d.colBuf); s < cap(d.colBuf) && len(d.colBuf[:s+1][s]) == len(d.locs) {
+		c = d.colBuf[:s+1][s] // storage left by an earlier decode
+	} else {
+		c = make([]float64, len(d.locs))
+	}
+	d.gather(c, j)
+	d.colJs = append(d.colJs, j)
+	d.colBuf = append(d.colBuf, c)
+	return c, nil
+}
+
+// gather computes Φ̃ e_j into dst (length m), overwriting every entry.
+func (d *opDict) gather(dst []float64, j int) {
 	if sep, ok := d.op.(*basis.Separable2D); ok {
-		d.sepCol(sep, c, j)
+		d.sepCol(sep, dst, j)
 	} else if ea, ok := d.op.(basis.EntryAccessor); ok {
 		// Closed-form entries: the column restricted to the m sampled
 		// rows costs O(m), not one full synthesis.
 		for i, l := range d.locs {
-			c[i] = ea.Entry(l, j)
+			dst[i] = ea.Entry(l, j)
 		}
 	} else {
 		d.full[j] = 1
 		d.op.Apply(d.out, d.full)
 		d.full[j] = 0
 		for i, l := range d.locs {
-			c[i] = d.out[l]
+			dst[i] = d.out[l]
 		}
 	}
-	d.colJs = append(d.colJs, j)
-	d.colBuf = append(d.colBuf, c)
-	return c, nil
 }
 
 // sepCol exploits separability: column jc·h+jr of a 2-D operator is the
@@ -268,7 +303,7 @@ func (d *opDict) gatherCol(j int) ([]float64, error) {
 func (d *opDict) sepCol(sep *basis.Separable2D, dst []float64, j int) {
 	rowOp, colOp := sep.Factors()
 	h, w := rowOp.Dim(), colOp.Dim()
-	if d.sepU == nil {
+	if len(d.sepU) != h || len(d.sepV) != w {
 		d.sepU, d.sepV = make([]float64, h), make([]float64, w)
 	}
 	jr, jc := j%h, j/h

@@ -1,6 +1,8 @@
 package cs
 
 import (
+	"errors"
+
 	"repro/internal/mat"
 )
 
@@ -16,55 +18,45 @@ import (
 // non-empty, within the support cap, all indices in range and distinct.
 // Invalid seeds are silently discarded (the caller decodes cold): a stale
 // support from a differently-sized window is an expected input, not an
-// error.
-func validSeed(seed []int, n, maxSupport int) bool {
-	if len(seed) == 0 || len(seed) > maxSupport {
-		return false
-	}
-	seen := make(map[int]struct{}, len(seed))
-	for _, j := range seed {
-		if j < 0 || j >= n {
-			return false
-		}
-		if _, dup := seen[j]; dup {
-			return false
-		}
-		seen[j] = struct{}{}
-	}
-	return true
+// error. mark (length n) is all false on entry and is left all false.
+func validSeed(seed []int, n, maxSupport int, mark []bool) bool {
+	return len(seed) > 0 && len(seed) <= maxSupport && distinct(seed, n, mark)
 }
 
-// seedFactors folds the seed columns into the incremental-QR factors and
-// deflates the residual, in seed order. It returns the grown support and
-// ok=false when a seed column is linearly dependent on its predecessors
-// (the caller restarts cold). Hard errors (dictionary access on a
-// validated index) propagate.
-func seedFactors(d dict, qr *mat.IncrementalQR, resid, col []float64, support []int, inSupport []bool, seed []int) ([]int, bool, error) {
-	for _, j := range seed {
-		if err := d.col(col, j); err != nil {
+// seedFactors gathers the seed columns straight into the incremental-QR
+// column slots and factors them in one pipelined pass, deflating the
+// residual after each — the Append/DeflateLatest sequence of the greedy
+// loop, bit for bit (mat.IncrementalQR.AppendSeed). It returns the grown
+// support and ok=false when a seed column is linearly dependent on its
+// predecessors (the caller restarts cold). Hard errors (dictionary access
+// on a validated index) propagate.
+func seedFactors(d dict, qr *mat.IncrementalQR, resid []float64, support []int, inSupport []bool, seed []int) ([]int, bool, error) {
+	for c, j := range seed {
+		if err := d.col(qr.Slot(c), j); err != nil {
 			return support, false, err
 		}
-		if err := qr.Append(col); err != nil {
-			return support, false, nil // rank-deficient seed: decode cold
-		}
+	}
+	got, err := qr.AppendSeed(len(seed), resid)
+	for _, j := range seed[:got] {
 		support = append(support, j)
 		inSupport[j] = true
-		if _, err := qr.DeflateLatest(resid); err != nil {
-			return support, false, err
-		}
+	}
+	switch {
+	case errors.Is(err, mat.ErrSingular):
+		return support, false, nil // rank-deficient seed: decode cold
+	case err != nil:
+		return support, false, err
 	}
 	return support, true, nil
 }
 
-// coldRestart discards a failed seed: fresh factors, full residual, empty
+// coldRestart discards a failed seed: empty factors, full residual, empty
 // support. The inSupport marks set during seeding are cleared in place.
-func coldRestart(d dict, y []float64, maxSupport int, support []int, inSupport []bool) (*mat.IncrementalQR, []float64, []int, error) {
+func coldRestart(ws *workspace, y []float64, support []int) []int {
 	for _, j := range support {
-		inSupport[j] = false
+		ws.inSupport[j] = false
 	}
-	qr, err := mat.NewIncrementalQR(d.rows(), maxSupport)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return qr, mat.CloneVec(y), support[:0], nil
+	ws.qr.Reset()
+	copy(ws.resid, y)
+	return support[:0]
 }

@@ -58,33 +58,106 @@ func (f *IncrementalQR) Append(col []float64) error {
 	if f.k >= f.maxCols {
 		return fmt.Errorf("%w: IncrementalQR at capacity %d", ErrShape, f.maxCols)
 	}
-	v := f.q[f.k*f.m : (f.k+1)*f.m]
-	copy(v, col)
+	copy(f.Slot(0), col)
 	norm0 := Norm2(col)
-	rk := f.r[f.k*f.maxCols:]
-	for j := 0; j < f.k; j++ {
-		rk[j] = 0
-	}
+	rk := f.rcol(f.k)
 	// Modified Gram–Schmidt with a second pass: the re-orthogonalization
 	// ("twice is enough") keeps Q orthonormal to machine precision even for
 	// the coherent point-sampled basis columns OMP selects near convergence.
-	for pass := 0; pass < 2; pass++ {
-		for j := 0; j < f.k; j++ {
-			qj := f.q[j*f.m : (j+1)*f.m]
-			d := Dot(qj, v)
-			rk[j] += d
-			for i, qv := range qj {
-				v[i] -= d * qv
-			}
+	f.mgsPass(f.Slot(0), rk, f.k)
+	f.mgsPass(f.Slot(0), rk, f.k)
+	return f.commit(norm0)
+}
+
+// Slot returns the storage of column Len()+c, the c-th column after the
+// factored ones. A caller that knows its next columns up front writes them
+// there and factors them in place with AppendSeed, with no copy. Slot
+// panics when Len()+c is at or past the capacity.
+func (f *IncrementalQR) Slot(c int) []float64 {
+	s := f.k + c
+	return f.q[s*f.m : (s+1)*f.m : (s+1)*f.m]
+}
+
+// AppendSeed factors the next cols columns, already written to Slot(0) …
+// Slot(cols−1), in order, and deflates resid (when non-nil) against each
+// newly orthogonalized column right after it is factored: the same Q, R
+// and resid, bit for bit, as cols calls of Append each followed by
+// DeflateLatest(resid).
+//
+// Column c's second Gram–Schmidt pass and column c+1's first pass both
+// sweep q₀…q_{c−1}, and neither reads the other's vector, so they run in
+// one sweep: two independent dot chains in flight instead of one
+// latency-bound chain. Each vector still sees the same updates in the same
+// order, and every dot still sums its terms in ascending row order.
+//
+// It returns the number of columns factored. On a numerically dependent
+// column it returns that column's index (relative to the first slot) with
+// ErrSingular: the columns before it stay factored and resid stays deflated
+// against them — exactly the state the sequential Append loop stops in —
+// while the contents of that slot and the ones after it are unspecified.
+func (f *IncrementalQR) AppendSeed(cols int, resid []float64) (int, error) {
+	if cols < 0 || f.k+cols > f.maxCols {
+		return 0, fmt.Errorf("%w: %d seed columns after %d exceed capacity %d", ErrShape, cols, f.k, f.maxCols)
+	}
+	if resid != nil && len(resid) != f.m {
+		return 0, fmt.Errorf("%w: vector length %d, want %d", ErrShape, len(resid), f.m)
+	}
+	if cols == 0 {
+		return 0, nil
+	}
+	next := f.Slot(0)
+	nextNorm := Norm2(next)
+	f.mgsPass(next, f.rcol(f.k), f.k) // column 0's first pass
+	for c := 0; c < cols; c++ {
+		s := f.k
+		v, rk, norm0 := next, f.r[s*f.maxCols:(s+1)*f.maxCols], nextNorm
+		var rn []float64
+		if c+1 < cols {
+			next, rn = f.Slot(1), f.rcol(s+1)
+			nextNorm = Norm2(next)
+			f.mgsPair(v, rk, next, rn, s)
+		} else {
+			f.mgsPass(v, rk, s)
+		}
+		if err := f.commit(norm0); err != nil {
+			return c, err
+		}
+		qs := f.q[s*f.m : (s+1)*f.m]
+		if resid != nil {
+			axpyDot(resid, qs, Dot(qs, resid))
+		}
+		if rn != nil {
+			// The last step of column c+1's first pass: against the
+			// direction just committed.
+			d := Dot(qs, next)
+			rn[s] += d
+			axpyDot(next, qs, d)
 		}
 	}
+	return cols, nil
+}
+
+// rcol returns R's column j with its first j entries zeroed, ready for the
+// Gram–Schmidt coefficients to accumulate into.
+func (f *IncrementalQR) rcol(j int) []float64 {
+	rj := f.r[j*f.maxCols : (j+1)*f.maxCols]
+	for i := 0; i < j; i++ {
+		rj[i] = 0
+	}
+	return rj
+}
+
+// commit finishes the column in Slot(0) after its two Gram–Schmidt passes:
+// the rank test, the diagonal of R and the normalization.
+func (f *IncrementalQR) commit(norm0 float64) error {
+	v := f.Slot(0)
 	nv := Norm2(v)
 	// Relative rank test: a residual this far below the column's own norm
 	// means the column lies in span(Q) to working precision.
 	if nv <= 1e-12*math.Max(norm0, 1) {
 		return ErrSingular
 	}
-	rk[f.k] = nv
+	f.r[f.k*f.maxCols+f.k] = nv
 	inv := 1 / nv
 	for i := range v {
 		v[i] *= inv
@@ -92,6 +165,86 @@ func (f *IncrementalQR) Append(col []float64) error {
 	f.k++
 	return nil
 }
+
+// mgsPass runs one modified Gram–Schmidt pass of v against q₀…q_{k−1},
+// adding each projection coefficient into rk. Step j's update of v is
+// fused into the loop that computes step j+1's dot: v[i] is updated
+// before that dot reads it, and the dot still sums in ascending i, so the
+// result is bit-identical to a Dot followed by a separate update. The
+// expression shapes (v[i] - d*q[i], s += q[i]*v[i]) match the unfused
+// loops, so a compiler that fuses multiply-adds fuses both alike.
+func (f *IncrementalQR) mgsPass(v, rk []float64, k int) {
+	if k == 0 {
+		return
+	}
+	m := f.m
+	d := Dot(f.q[:m], v)
+	for j := 0; j < k-1; j++ {
+		rk[j] += d
+		qj := f.q[j*m : (j+1)*m : (j+1)*m]
+		qn := f.q[(j+1)*m : (j+2)*m]
+		qn, v := qn[:len(qj)], v[:len(qj)]
+		s := 0.0
+		for i, qv := range qj {
+			vi := v[i] - d*qv
+			v[i] = vi
+			s += qn[i] * vi
+		}
+		d = s
+	}
+	rk[k-1] += d
+	axpyDot(v, f.q[(k-1)*m:k*m], d)
+}
+
+// mgsPair is mgsPass for two vectors in one sweep over q₀…q_{k−1}: a
+// (coefficients into ra) and b (into rb). The two dot chains are
+// independent, so each row's loads of qⱼ and q_{j+1} feed both.
+func (f *IncrementalQR) mgsPair(a, ra, b, rb []float64, k int) {
+	if k == 0 {
+		return
+	}
+	m := f.m
+	q0 := f.q[:m]
+	a, b = a[:len(q0)], b[:len(q0)]
+	da, db := 0.0, 0.0
+	for i, qv := range q0 {
+		da += qv * a[i]
+		db += qv * b[i]
+	}
+	for j := 0; j < k-1; j++ {
+		ra[j] += da
+		rb[j] += db
+		qj := f.q[j*m : (j+1)*m : (j+1)*m]
+		qn := f.q[(j+1)*m : (j+2)*m]
+		qn, a, b := qn[:len(qj)], a[:len(qj)], b[:len(qj)]
+		sa, sb := 0.0, 0.0
+		for i, qv := range qj {
+			ai := a[i] - da*qv
+			a[i] = ai
+			sa += qn[i] * ai
+			bi := b[i] - db*qv
+			b[i] = bi
+			sb += qn[i] * bi
+		}
+		da, db = sa, sb
+	}
+	ra[k-1] += da
+	rb[k-1] += db
+	qk := f.q[(k-1)*m : k*m]
+	axpyDot(a, qk, da)
+	axpyDot(b, qk, db)
+}
+
+// axpyDot subtracts d·q from v in place: v[i] -= d*q[i].
+func axpyDot(v, q []float64, d float64) {
+	v = v[:len(q)]
+	for i, qv := range q {
+		v[i] -= d * qv
+	}
+}
+
+// Reset empties the factorization, keeping its storage for reuse.
+func (f *IncrementalQR) Reset() { f.k = 0 }
 
 // Drop removes the most recently appended column (no-op when empty).
 func (f *IncrementalQR) Drop() {
@@ -114,9 +267,7 @@ func (f *IncrementalQR) DeflateLatest(v []float64) (float64, error) {
 	}
 	qk := f.q[(f.k-1)*f.m : f.k*f.m]
 	d := Dot(qk, v)
-	for i, qv := range qk {
-		v[i] -= d * qv
-	}
+	axpyDot(v, qk, d)
 	return d, nil
 }
 

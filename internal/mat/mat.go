@@ -449,14 +449,16 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := make([]float64, a.Rows)
+	// Every column is known up front: gather them into the factor's column
+	// slots and factor them in one pipelined pass.
 	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
+		col := f.Slot(j)
+		for i := range col {
 			col[i] = a.Data[i*a.Cols+j]
 		}
-		if err := f.Append(col); err != nil {
-			return nil, err
-		}
+	}
+	if _, err := f.AppendSeed(a.Cols, nil); err != nil {
+		return nil, err
 	}
 	return f.Solve(b)
 }

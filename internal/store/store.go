@@ -66,8 +66,14 @@ func (s *Store) Append(series string, r Record) error {
 		recs = append(recs, r)
 	}
 	if s.maxPerKey > 0 && len(recs) > s.maxPerKey {
+		// Evict by sliding the window along its backing array: append
+		// copies only the live records when it runs out of room, so a
+		// full series costs O(1) amortized per append instead of a copy
+		// of every retained record. The evicted slots are cleared so
+		// their values can be collected before that copy.
 		drop := len(recs) - s.maxPerKey
-		recs = append(recs[:0:0], recs[drop:]...)
+		clear(recs[:drop])
+		recs = recs[drop:]
 		obsEvictions.Add(int64(drop))
 	}
 	s.series[series] = recs

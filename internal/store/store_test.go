@@ -60,6 +60,72 @@ func TestRetention(t *testing.T) {
 	}
 }
 
+// A series at its retention cap must not copy every retained record on
+// each append: eviction slides the window, so appends stay O(1)
+// amortized and allocate only when the backing array is regrown.
+func TestRetentionAtCapacityIsAmortized(t *testing.T) {
+	s := New(4096)
+	rec := Record{Values: []float64{1}}
+	for i := 0; i < 4096; i++ {
+		rec.T = float64(i)
+		if err := s.Append("x", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rec.T++
+		if err := s.Append("x", rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("append at capacity allocates %v times per call, want < 1 amortized", allocs)
+	}
+	if recs, _ := s.Query("x", 0, rec.T); len(recs) != 4096 || recs[0].T != rec.T-4095 {
+		t.Fatalf("retained %d records from T=%v, want 4096 from %v", len(recs), recs[0].T, rec.T-4095)
+	}
+}
+
+// Retention must keep exactly the newest maxPerKey records in time order,
+// out-of-order inserts included, however long the series runs.
+func TestRetentionMatchesReference(t *testing.T) {
+	const keep = 7
+	rng := rand.New(rand.NewSource(3))
+	s := New(keep)
+	var ref []float64
+	tm := 0.0
+	for i := 0; i < 500; i++ {
+		tm += rng.Float64()
+		at := tm
+		if rng.Intn(5) == 0 {
+			at -= 3 * rng.Float64() // an out-of-order arrival
+		}
+		if err := s.AppendScalar("x", at, at); err != nil {
+			t.Fatal(err)
+		}
+		j := len(ref)
+		for j > 0 && ref[j-1] > at {
+			j--
+		}
+		ref = append(ref[:j], append([]float64{at}, ref[j:]...)...)
+		if len(ref) > keep {
+			ref = ref[len(ref)-keep:]
+		}
+		recs, err := s.Query("x", -1e9, 1e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(ref) {
+			t.Fatalf("append %d: %d records, want %d", i, len(recs), len(ref))
+		}
+		for k, r := range recs {
+			if r.T != ref[k] || r.Values[0] != ref[k] {
+				t.Fatalf("append %d: record %d = %v, want T %v", i, k, r, ref[k])
+			}
+		}
+	}
+}
+
 func TestLatest(t *testing.T) {
 	s := New(0)
 	s.AppendScalar("x", 1, 10)

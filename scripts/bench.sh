@@ -24,9 +24,13 @@ go test -run '^$' -bench 'BenchmarkDecode64GridDense|BenchmarkDecode64GridOperat
     -benchmem -benchtime "${GRID_BENCHTIME:-20x}" . | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkDecode1024Grid' \
     -benchmem -benchtime "${GRID1024_BENCHTIME:-1x}" . | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkOMP256M30|BenchmarkIHT256|BenchmarkCoSaMP256' \
+# Decoder rows: the greedy decoders, plus one steady-state warm window
+# decode of a 64×64 field's zone (66-atom seed, pooled workspace).
+go test -run '^$' -bench 'BenchmarkOMP256M30|BenchmarkIHT256|BenchmarkCoSaMP256|BenchmarkWarmCHS64Grid' \
     -benchmem -benchtime "$BENCHTIME" ./internal/cs/ | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkMul64|BenchmarkQR128x32' \
+# Kernel rows: dense products and factorizations, plus the pipelined
+# incremental-QR seed pass the warm decode runs (200×66).
+go test -run '^$' -bench 'BenchmarkMul64|BenchmarkQR128x32|BenchmarkIncrementalQRSeed200x66' \
     -benchmem -benchtime "$BENCHTIME" ./internal/mat/ | tee -a "$TMP"
 # Fast-transform kernels: operator vs dense synthesize/analyze pairs.
 go test -run '^$' -bench 'BenchmarkOperatorDCT64|BenchmarkOperatorDCT1024|BenchmarkDenseDCT64|BenchmarkDenseDCT1024' \
